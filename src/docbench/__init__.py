@@ -14,8 +14,8 @@ from .corpus import (DEFAULT_KEY_PATTERN, DEFAULT_LABELS, CorpusIndex,
 from .interchange import (AdapterConfig, ExtractionRecord, load_adapter_config,
                           parse_json_extraction, parse_plaintext,
                           parse_table_csv, parse_xml_extraction,
-                          read_records_jsonl, restrict_to_ground_truth,
-                          save_adapter_config, tokenize, write_records_jsonl)
+                          read_records_jsonl, save_adapter_config,
+                          tokenize, write_records_jsonl)
 from .metrics import (DocumentScores, MatchConfig, SimilarityMatrix, accuracy,
                       collate, edit_distance, f1, lev_ratio, precision, recall,
                       score_document, similarity_matrix)

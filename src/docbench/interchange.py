@@ -25,13 +25,13 @@ import csv
 import io
 import json
 import xml.etree.ElementTree as ET
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
-from .corpus import DocumentKey, GroundTruthPage, PageKey, validate_label
+from .corpus import DocumentKey, PageKey, validate_label
 from .errors import (ConfigError, CsvParseError, JsonParseError,
                      PathTypeError, XmlParseError)
-from .metrics import DEFAULT_MATCH, MatchConfig, collate, lev_ratio
+from .metrics import DEFAULT_MATCH, MatchConfig, collate, similarity_matrix
 
 SELECTOR_MISS = "SelectorMiss"
 LOSSY_DECODE = "LossyDecode"
@@ -329,44 +329,25 @@ def restrict_units(
     best-matching window of equally many ground-truth tokens reaches the
     threshold. Used to pare document-wide output down to the part a
     page-partial ground truth actually covers.
+
+    Items of one width share their windows: one similarity matrix per width
+    packs every window into the lanes of one integer (the multiple-pattern
+    scheme of Hyyrö, Fredriksson & Navarro 2005) and takes row maxima.
     """
     if not gt_tokens:
         return ()
-    kept = []
-    for unit in units:
-        width = min(len(unit), len(gt_tokens))
-        best = 0.0
-        text = collate(unit)
-        for start in range(len(gt_tokens) - width + 1):
-            window = collate(gt_tokens[start:start + width])
-            ratio = lev_ratio(text, window, config)
-            if ratio > best:
-                best = ratio
-            if best == 1.0:
-                break
-        if best >= config.threshold:
-            kept.append(unit)
-    return tuple(kept)
-
-
-def restrict_to_ground_truth(
-    record: ExtractionRecord,
-    gt: GroundTruthPage,
-    label: str,
-    config: MatchConfig = DEFAULT_MATCH,
-) -> ExtractionRecord:
-    """Drop extracted items the page's ground truth does not cover.
-
-    The record and the page must belong to the same document. The output's
-    token multiset is always a subset of the input's.
-    """
-    if record.key is not None and record.key.document_id != gt.key.document_id:
-        raise ValueError(
-            f"record belongs to {record.key.document_id!r}, "
-            f"page to {gt.key.document_id!r}")
-    return replace(record,
-                   units=restrict_units(record.units, gt.tokens_for_label(label),
-                                        config))
+    by_width: dict[int, list[int]] = {}
+    for position, unit in enumerate(units):
+        by_width.setdefault(min(len(unit), len(gt_tokens)), []).append(position)
+    keep = [False] * len(units)
+    for width, positions in by_width.items():
+        windows = [collate(gt_tokens[start:start + width])
+                   for start in range(len(gt_tokens) - width + 1)]
+        matrix = similarity_matrix([collate(units[p]) for p in positions],
+                                   windows, config)
+        for position, best in zip(positions, matrix.values.max(axis=1)):
+            keep[position] = best >= config.threshold
+    return tuple(unit for unit, kept in zip(units, keep) if kept)
 
 
 def write_records_jsonl(records, path: str | Path) -> None:

@@ -258,9 +258,13 @@ def journal_header(config: RunConfig) -> str:
 
 
 def read_journal(path: str | Path) -> tuple[dict | None, list[UnitResult]]:
-    """Parse a journal; returns (header or None, results in file order)."""
+    """Parse a journal; returns (header or None, results in file order).
+
+    A line that is not a complete unit record is skipped with a warning, and
+    so is a repeat of a unit already read: the first line of a unit counts.
+    """
     header = None
-    results: list[UnitResult] = []
+    results: dict[tuple[str, int, str], UnitResult] = {}
     with open(path, encoding="utf-8") as handle:
         for line_no, line in enumerate(handle, start=1):
             line = line.strip()
@@ -268,14 +272,20 @@ def read_journal(path: str | Path) -> tuple[dict | None, list[UnitResult]]:
                 continue
             try:
                 payload = json.loads(line)
-            except json.JSONDecodeError:
+                if isinstance(payload, dict) and payload.get("kind") == "header":
+                    header = payload
+                    continue
+                result = _result_from_payload(payload)
+            except (KeyError, TypeError, ValueError):
                 logger.warning("skipping malformed journal line %d", line_no)
                 continue
-            if payload.get("kind") == "header":
-                header = payload
+            unit = (result.key.document_id, result.key.page_index, result.label)
+            if unit in results:
+                logger.warning("skipping repeated unit %s/%s on journal line %d",
+                               result.key, result.label, line_no)
                 continue
-            results.append(_result_from_payload(payload))
-    return header, results
+            results[unit] = result
+    return header, list(results.values())
 
 
 def evaluate_run(

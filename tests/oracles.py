@@ -7,6 +7,8 @@ of dual-route checks, so they cannot share code with the paths they verify.
 
 from __future__ import annotations
 
+import unicodedata
+
 
 def lcs_length(a: str, b: str) -> int:
     """Longest common subsequence length, full-table DP."""
@@ -51,6 +53,38 @@ def ratio_reference(a: str, b: str, substitution_cost: int = 2) -> float:
     if not a and not b:
         return 1.0
     return 1.0 - distance_full_table(a, b, substitution_cost) / (len(a) + len(b))
+
+
+def restrict_reference(units, gt, config) -> tuple:
+    """Items whose collated text reaches config.threshold against some
+    window of min(len(item), len(gt)) consecutive ground-truth tokens.
+
+    config is read by attribute only (threshold, substitution_cost,
+    case_sensitive, normalize_nfc); both texts are casefolded, then
+    NFC-normalized, when the config asks for it.
+    """
+    def prepare(text):
+        if not config.case_sensitive:
+            text = text.casefold()
+        if config.normalize_nfc:
+            text = unicodedata.normalize("NFC", text)
+        return text
+
+    if not gt:
+        return ()
+    kept = []
+    for unit in units:
+        width = min(len(unit), len(gt))
+        text = prepare(" ".join(unit))
+        best = 0.0
+        for start in range(len(gt) - width + 1):
+            window = prepare(" ".join(gt[start:start + width]))
+            ratio = ratio_reference(text, window, config.substitution_cost)
+            if ratio > best:
+                best = ratio
+        if best >= config.threshold:
+            kept.append(unit)
+    return tuple(kept)
 
 
 def matrix_reference(extracted: list[str], gt: list[str], substitution_cost: int = 2) -> list[list[float]]:

@@ -2,6 +2,7 @@
 
 Each test prints its verdict through the capture bypass so the lines are
 visible in any pytest run. Tolerances are pinned inside each criterion.
+A time floor for document-scope restriction follows criterion 9.
 """
 
 from __future__ import annotations
@@ -18,7 +19,8 @@ from pathlib import Path
 import numpy as np
 
 from docbench.corpus import PageKey
-from docbench.interchange import AdapterConfig, load_adapter_config
+from docbench.interchange import (AdapterConfig, load_adapter_config,
+                                  restrict_units)
 from docbench.metrics import (DocumentScores, MatchConfig, SimilarityMatrix,
                               edit_distance, f1, lev_ratio, precision, recall,
                               score_document, similarity_matrix)
@@ -284,3 +286,29 @@ def test_criterion_9_performance_and_parallel_determinism(capsys, tmp_path):
             assert len(results) == 1000
             journals[jobs] = journal.read_bytes()
         assert journals[1] == journals[4]
+
+
+def test_restrict_units_performance_floor():
+    # one document-scope unit: 150 reference-like items against a page of
+    # 300 ground-truth tokens, half the items noisy copies of a window
+    rng = random.Random(20140820)
+    gt = tuple(_word(rng, 3, 9) for _ in range(300))
+    items = []
+    for i in range(150):
+        width = rng.randint(4, 12)
+        if i % 2:
+            start = rng.randrange(len(gt) - width)
+            item = list(gt[start:start + width])
+            item[rng.randrange(width)] = _word(rng, 3, 9)
+        else:
+            item = [_word(rng, 3, 9) for _ in range(width)]
+        items.append(tuple(item))
+    for cost in (2, 1):
+        config = MatchConfig(substitution_cost=cost)
+        best = float("inf")
+        for _ in range(2):
+            started = time.perf_counter()
+            kept = restrict_units(tuple(items), gt, config)
+            best = min(best, time.perf_counter() - started)
+        assert len(kept) == 75
+        assert best < 1.5, f"restrict_units at cost {cost} took {best:.2f} s"

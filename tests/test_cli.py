@@ -88,6 +88,22 @@ def test_report_missing_journal(tmp_path: Path):
     assert proc.returncode == 1
 
 
+def test_report_skips_record_missing_a_field(golden_dir: Path, tmp_path: Path):
+    lines = (golden_dir / "expected" / "partial.jsonl") \
+        .read_text(encoding="utf-8").splitlines()
+    payload = json.loads(lines[1])
+    del payload["acc"]
+    lines[1] = json.dumps(payload)
+    journal = tmp_path / "partial.jsonl"
+    journal.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    proc = _run("report", "--journal", str(journal))
+    assert proc.returncode == 0
+    assert "Traceback" not in proc.stderr
+    assert "malformed journal line 2" in proc.stderr
+    # the other paragraph unit is still counted
+    assert "\npartial,paragraph,1,1," in proc.stdout
+
+
 def test_index_command(golden_dir: Path, tmp_path: Path):
     out = tmp_path / "index.json"
     proc = _run("index", "--gt-root", str(golden_dir / "gt"),

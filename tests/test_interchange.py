@@ -5,30 +5,21 @@ from pathlib import Path
 
 import pytest
 
-from docbench.corpus import DocumentKey, GroundTruthPage, PageKey
+from docbench.corpus import DocumentKey, PageKey
 from docbench.errors import (ConfigError, CsvParseError, JsonParseError,
                              PathTypeError, XmlParseError)
 from docbench.interchange import (LOSSY_DECODE, SELECTOR_MISS, AdapterConfig,
                                   ExtractionRecord, load_adapter_config,
                                   parse_json_extraction, parse_plaintext,
                                   parse_table_csv, parse_xml_extraction,
-                                  read_records_jsonl, restrict_to_ground_truth,
-                                  restrict_units, save_adapter_config,
-                                  tokenize, write_records_jsonl)
+                                  read_records_jsonl, restrict_units,
+                                  save_adapter_config, tokenize,
+                                  write_records_jsonl)
 from docbench.metrics import MatchConfig
 
-from oracles import ratio_reference
+from oracles import ratio_reference, restrict_reference
 
 KEY = PageKey("1401.0001", 0)
-
-
-def _gt_page(tokens_by_label: dict[str, list[str]]) -> GroundTruthPage:
-    from docbench.corpus import GroundTruthToken
-    tokens = tuple(
-        GroundTruthToken(text, 0, 0, 1, 1, 0, 0, 0, "f", label)
-        for label, texts in tokens_by_label.items()
-        for text in texts)
-    return GroundTruthPage(KEY, tokens)
 
 
 def test_tokenize_unicode_whitespace():
@@ -372,20 +363,50 @@ def test_restrict_units_long_document_scenario():
     assert kept == units[9:21]
 
 
-def test_restrict_to_ground_truth_checks_document(tmp_path: Path):
-    page = _gt_page({"reference": ["Smith", "2019"]})
-    record = ExtractionRecord("t", PageKey("9999.9999", 0), "reference",
-                              (("Smith", "2019"),))
-    with pytest.raises(ValueError):
-        restrict_to_ground_truth(record, page, "reference")
+# casefold maps "ß" to "ss" and NFC composes "e\u0301" into "é", so both
+# options change string lengths; the last two are outside the BMP
+_RESTRICT_ALPHABET = ("a", "b", "c", "A", "B", "ß", "é", "e\u0301",
+                      "\U0001d518", "\U0001f600")
 
-    record = ExtractionRecord("t", DocumentKey("1401.0001"), "reference",
-                              (("Smith", "2019"), ("Noise", "words")))
-    out = restrict_to_ground_truth(record, page, "reference")
-    assert out.units == (("Smith", "2019"),)
-    assert out.tool == "t"
-    # token multiset of the output is a subset of the input
-    assert set(out.tokens) <= set(record.tokens)
+
+def _restrict_token(rng) -> str:
+    return "".join(rng.choice(_RESTRICT_ALPHABET)
+                   for _ in range(rng.randint(1, 4)))
+
+
+def test_restrict_units_matches_window_oracle():
+    import random
+    rng = random.Random(20231014)
+    thresholds = (0.0, 0.5, 0.7, 0.8, 0.9, 1.0)
+    outcomes = set()
+    for case in range(240):
+        config = MatchConfig(threshold=thresholds[case % len(thresholds)],
+                             substitution_cost=1 + case % 2,
+                             case_sensitive=case % 3 != 0,
+                             normalize_nfc=case % 4 == 0)
+        gt = tuple(_restrict_token(rng) for _ in range(rng.randint(0, 9)))
+        start = rng.randrange(len(gt) or 1)
+        exact = gt[start:start + rng.randint(1, 3)] or ("a",)
+        extra = tuple(_restrict_token(rng) for _ in range(2))
+        units = [
+            exact,  # an exact window: ratio 1.0
+            # longer than the ground truth: its window is all of it
+            gt + extra if rng.random() < 0.5 else extra + gt[1:] + extra,
+        ]
+        for _ in range(rng.randint(0, 4)):
+            noisy = list(gt[rng.randrange(len(gt) or 1):][:rng.randint(1, 4)]
+                         or ("b",))
+            noisy[rng.randrange(len(noisy))] = _restrict_token(rng)
+            units.append(tuple(noisy))
+        units.insert(rng.randrange(len(units) + 1), exact)  # an equal item
+        rng.shuffle(units)
+        units = tuple(units)
+        kept = restrict_units(units, gt, config)
+        assert kept == restrict_reference(units, gt, config), (case, units, gt)
+        if gt:
+            assert kept.count(exact) == units.count(exact) >= 2
+            outcomes.add(len(kept) == len(units))
+    assert outcomes == {True, False}
 
 
 def test_jsonl_round_trip(tmp_path: Path):

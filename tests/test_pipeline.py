@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import logging
 from pathlib import Path
 
 import pytest
@@ -16,6 +17,7 @@ from docbench.pipeline import (STATUS_ERROR, STATUS_MISSING, STATUS_SCORED,
                                plan_units, read_journal, resolve_output,
                                score_unit, unit_result_to_line,
                                zero_score_labels)
+from docbench.report import aggregate
 
 GOLDEN_LABELS = ("abstract", "author", "paragraph", "reference",
                  "section", "table", "title")
@@ -296,6 +298,24 @@ def test_read_journal_round_trip_and_resilience(golden_dir: Path,
         handle.write("{truncated\n")
     _, again = read_journal(journal)
     assert len(again) == len(recovered)
+
+
+def test_read_journal_counts_a_repeated_unit_once(golden_dir: Path,
+                                                  tmp_path: Path, caplog):
+    golden = golden_dir / "expected" / "partial.jsonl"
+    lines = golden.read_text(encoding="utf-8").splitlines()
+    repeat = json.loads(lines[1])
+    repeat["p"] = 0.1  # a later line for the same unit does not override
+    journal = tmp_path / "partial.jsonl"
+    journal.write_text("\n".join(lines + [lines[1], json.dumps(repeat)]) + "\n",
+                       encoding="utf-8")
+    with caplog.at_level(logging.WARNING, logger="docbench.pipeline"):
+        _, results = read_journal(journal)
+    assert results == read_journal(golden)[1]
+    assert sum("repeated unit" in r.message for r in caplog.records) == 2
+    [row] = [r for r in aggregate(results, tool="partial")
+             if r.label == "paragraph"]
+    assert (row.detected, row.processed) == (2, 2)
 
 
 def test_zero_score_labels_partial_tool(golden_dir: Path):
