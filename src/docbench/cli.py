@@ -274,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--pattern", default=DEFAULT_KEY_PATTERN,
                         help="ground-truth filename pattern")
     p_eval.add_argument("--jobs", type=int, default=1,
-                        help="worker threads")
+                        help="worker processes (at most the CPU count)")
     p_eval.set_defaults(func=cmd_eval)
 
     p_report = sub.add_parser("report", formatter_class=fmt,

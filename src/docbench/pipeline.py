@@ -5,7 +5,9 @@ A run walks the ground-truth index, plans one evaluation unit per
 tool output file, scores it, and appends one JSON line per unit to a journal.
 Reruns skip units already journalled, so an interrupted run resumes where it
 stopped. Unit order is deterministic (sorted by page key, then label) and
-independent of the worker count.
+independent of the worker count: with more than one worker, whole documents
+are scored in a pool of worker processes and the parent writes their results
+in unit order.
 """
 
 from __future__ import annotations
@@ -13,9 +15,10 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
-import threading
-from concurrent.futures import ThreadPoolExecutor
+import os
+from collections import deque
 from dataclasses import dataclass
+from itertools import groupby
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -133,24 +136,6 @@ def plan_units(index: CorpusIndex, config: RunConfig) -> list[EvaluationUnit]:
     return units
 
 
-class _DocumentCache:
-    """Parsed document-scope records, shared across a run's workers."""
-
-    def __init__(self):
-        self._lock = threading.Lock()
-        self._records: dict[tuple[Path, str], ExtractionRecord] = {}
-
-    def get_or_parse(self, path: Path, label: str, parse) -> ExtractionRecord:
-        cache_key = (path, label)
-        with self._lock:
-            if cache_key in self._records:
-                return self._records[cache_key]
-        record = parse()
-        with self._lock:
-            self._records.setdefault(cache_key, record)
-            return self._records[cache_key]
-
-
 def _run_adapter(path: Path, adapter: AdapterConfig, label: str,
                  key: PageKey | DocumentKey) -> ExtractionRecord:
     if adapter.format == "xml":
@@ -165,17 +150,19 @@ def _run_adapter(path: Path, adapter: AdapterConfig, label: str,
 def resolve_output(
     unit: EvaluationUnit,
     config: RunConfig,
-    cache: _DocumentCache | None = None,
+    cache: dict[tuple[Path, str], ExtractionRecord | AdapterError] | None = None,
 ) -> tuple[ExtractionRecord | None, str]:
     """Locate and parse the tool's output for a unit.
 
     Returns (record, status). The record is None unless status is 'scored'.
-    Document-scope output is parsed once per document and then restricted to
-    the items this unit's page-level ground truth covers.
+    Document-scope output is restricted to the items this unit's page-level
+    ground truth covers. With a cache, it is parsed once per (file, label):
+    the cache keeps the record, or the AdapterError the parse raised.
     """
     adapter = config.adapter
     template = adapter.effective_path_template
-    if adapter.scope == "document":
+    document = adapter.scope == "document"
+    if document:
         relative = template.format(doc=unit.key.document_id)
         record_key: PageKey | DocumentKey = DocumentKey(unit.key.document_id)
     else:
@@ -186,30 +173,129 @@ def resolve_output(
     if not path.is_file():
         return None, STATUS_MISSING
 
-    def parse() -> ExtractionRecord:
-        return _run_adapter(path, adapter, unit.label, record_key)
-
-    try:
-        if adapter.scope == "document":
-            record = cache.get_or_parse(path, unit.label, parse) if cache else parse()
-            restricted = restrict_units(record.units, unit.gt_tokens, config.match)
-            record = ExtractionRecord(record.tool, record.key, record.label,
-                                      restricted, record.source_path, record.flags)
-        else:
-            record = parse()
-    except AdapterError as exc:
+    if not document:
+        cache = None
+    parsed = cache.get((path, unit.label)) if cache is not None else None
+    if parsed is None:
+        try:
+            parsed = _run_adapter(path, adapter, unit.label, record_key)
+        except AdapterError as exc:
+            parsed = exc
+        if cache is not None:
+            cache[(path, unit.label)] = parsed
+    if isinstance(parsed, AdapterError):
         logger.warning("unreadable tool output for %s/%s: %s",
-                       unit.key, unit.label, exc)
+                       unit.key, unit.label, parsed)
         return None, STATUS_ERROR
-    return record, STATUS_SCORED
+    if document:
+        restricted = restrict_units(parsed.units, unit.gt_tokens, config.match)
+        parsed = ExtractionRecord(parsed.tool, parsed.key, parsed.label,
+                                  restricted, parsed.source_path, parsed.flags)
+    return parsed, STATUS_SCORED
 
 
 def score_unit(unit: EvaluationUnit, config: RunConfig,
-               cache: _DocumentCache | None = None) -> UnitResult:
+               cache: dict | None = None) -> UnitResult:
     record, status = resolve_output(unit, config, cache)
     tokens: tuple[str, ...] = record.tokens if record is not None else ()
     scores = score_document(tokens, unit.gt_tokens, config.match)
     return UnitResult(unit.key, unit.label, status, scores)
+
+
+def _score_document(units: list[EvaluationUnit],
+                    config: RunConfig) -> Iterator[UnitResult]:
+    """Score one document's units in order, with a cache of its own."""
+    cache: dict = {}
+    for unit in units:
+        yield score_unit(unit, config, cache)
+
+
+def _score_batch(documents: list[list[EvaluationUnit]],
+                 config: RunConfig) -> list[UnitResult]:
+    """The task a pool worker runs: a run of whole documents."""
+    return [result for units in documents
+            for result in _score_document(units, config)]
+
+
+def worker_count(parallelism: int) -> int:
+    """Worker processes for a run: at most the machine's CPU count."""
+    return min(parallelism, os.cpu_count() or 1)
+
+
+# Documents per pool task, at most. A task costs the pool a fixed ~0.4 ms of
+# hand-offs between the parent's threads and a worker (2-core x86-64 VM,
+# Python 3.11), about half a small page's scoring time, so one-document tasks
+# made two workers slower than one on corpora of short pages. Sixteen spread
+# that cost, and keep the results a task holds and the work an interrupt
+# loses small.
+_TASK_DOCUMENTS = 16
+
+# (worker count, executor): the pool of the last parallel run, reused by the
+# next one in this process.
+_pool = None
+
+
+def _worker_pool(workers: int):
+    """The shared pool with this many workers, created on first use.
+
+    Its modules are imported here, so a run with one worker never loads
+    them. Workers are forked: they inherit the imported modules, so a pool
+    starts in milliseconds, and only units, config and results are pickled.
+    They keep the modules as they were at the fork. They ignore SIGINT,
+    which reaches the whole process group: the parent alone handles an
+    interrupt, and workers finish their task and exit with the pool.
+    """
+    global _pool
+    if _pool is not None and _pool[0] != workers:
+        _pool[1].shutdown()
+        _pool = None
+    if _pool is None:
+        import multiprocessing
+        import signal
+        from concurrent.futures import ProcessPoolExecutor
+        _pool = (workers, ProcessPoolExecutor(
+            workers, mp_context=multiprocessing.get_context("fork"),
+            initializer=signal.signal, initargs=(signal.SIGINT, signal.SIG_IGN)))
+    return _pool[1]
+
+
+def _score_documents(documents: list[list[EvaluationUnit]],
+                     config: RunConfig) -> Iterator[UnitResult]:
+    """Results of every document's units, in order.
+
+    With one worker, or fewer than two documents, units are scored here one
+    at a time as they are asked for. Otherwise the documents are split into
+    runs of at most _TASK_DOCUMENTS, at least four per worker where there
+    are enough documents, and each run is one task of the shared pool. At
+    most two tasks per worker are in flight; closing the generator cancels
+    the tasks that have not started. A pool that lost a worker raises
+    BrokenProcessPool once and is replaced on the next run.
+    """
+    global _pool
+    workers = worker_count(config.parallelism)
+    if workers < 2 or len(documents) < 2:
+        for units in documents:
+            yield from _score_document(units, config)
+        return
+    from concurrent.futures.process import BrokenProcessPool
+    size = min(_TASK_DOCUMENTS, -(-len(documents) // (4 * workers)))
+    pool = _worker_pool(workers)
+    in_flight: deque = deque()
+    try:
+        for start in range(0, len(documents), size):
+            if len(in_flight) == 2 * workers:
+                yield from in_flight.popleft().result()
+            in_flight.append(pool.submit(
+                _score_batch, documents[start:start + size], config))
+        while in_flight:
+            yield from in_flight.popleft().result()
+    except BrokenProcessPool:
+        pool.shutdown(wait=False)
+        _pool = None
+        raise
+    finally:
+        for future in in_flight:
+            future.cancel()
 
 
 def unit_result_to_line(result: UnitResult) -> str:
@@ -310,50 +396,50 @@ def evaluate_run(
     expected_hash = config_hash(config)
     if journal_path is not None:
         journal_path = Path(journal_path)
+        header, previous = None, []
         if journal_path.exists() and journal_path.stat().st_size > 0:
             header, previous = read_journal(journal_path)
+            if header is None and previous:
+                raise ConfigError(
+                    f"journal {journal_path} holds unit lines but no header, "
+                    f"so its config cannot be checked")
             if header is not None and header.get("config") != expected_hash:
                 raise ConfigError(
                     f"journal {journal_path} was written with config "
                     f"{header.get('config')!r}, current config is "
                     f"{expected_hash!r}")
-            for result in previous:
-                done[(result.key.document_id, result.key.page_index,
-                      result.label)] = result
-            journal_file = open(journal_path, "a", encoding="utf-8")
-        else:
+        for result in previous:
+            done[(result.key.document_id, result.key.page_index,
+                  result.label)] = result
+        if header is None:
+            # A new journal, or one cut before its first unit line.
             journal_file = open(journal_path, "w", encoding="utf-8")
             journal_file.write(journal_header(config) + "\n")
             journal_file.flush()
+        else:
+            journal_file = open(journal_path, "a", encoding="utf-8")
 
-    cache = _DocumentCache()
     pending = [u for u in units
                if (u.key.document_id, u.key.page_index, u.label) not in done]
-
-    def compute(unit: EvaluationUnit) -> UnitResult:
-        return score_unit(unit, config, cache)
-
+    # Units are sorted by page key, so each document's units are contiguous.
+    documents = [list(group) for _, group in
+                 groupby(pending, key=lambda u: u.key.document_id)]
+    fresh = _score_documents(documents, config)
     try:
-        if config.parallelism == 1 or not pending:
-            fresh: Iterable[UnitResult] = map(compute, pending)
-            yield from _merge(units, done, fresh, journal_file)
-        else:
-            with ThreadPoolExecutor(max_workers=config.parallelism) as pool:
-                yield from _merge(units, done, pool.map(compute, pending),
-                                  journal_file)
+        yield from _merge(units, done, fresh, journal_file)
     finally:
+        fresh.close()
         if journal_file is not None:
             journal_file.close()
 
 
 def _merge(units, done, fresh, journal_file) -> Iterator[UnitResult]:
-    fresh_iter = iter(fresh)
     for unit in units:
         key = (unit.key.document_id, unit.key.page_index, unit.label)
         if key in done:
             yield done[key]
             continue
-        result = next(fresh_iter)
+        result = next(fresh)
         if journal_file is not None:
             journal_file.write(unit_result_to_line(result) + "\n")
             journal_file.flush()

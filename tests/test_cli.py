@@ -154,6 +154,15 @@ def test_eval_rejects_journal_from_other_config(golden_dir: Path,
     assert "config" in proc.stderr
 
 
+def test_eval_rejects_headerless_journal(golden_dir: Path, tmp_path: Path):
+    golden = golden_dir / "expected" / "partial.jsonl"
+    journal = tmp_path / "partial.jsonl"
+    journal.write_bytes(golden.read_bytes().split(b"\n", 1)[1])
+    proc = _run(*_eval_args(golden_dir, "partial", journal))
+    assert proc.returncode == 2
+    assert "no header" in proc.stderr
+
+
 def test_eval_parallel_bytes_match(golden_dir: Path, tmp_path: Path):
     seq = tmp_path / "seq.jsonl"
     par = tmp_path / "par.jsonl"

@@ -1,12 +1,23 @@
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import json
 import logging
+import multiprocessing
+import os
+import signal
+import subprocess
+import sys
+from collections import Counter
+from concurrent.futures.process import BrokenProcessPool
+from multiprocessing.connection import wait
 from pathlib import Path
 
 import pytest
 
+import docbench
+from docbench import pipeline
 from docbench.corpus import PageKey, index_corpus
 from docbench.errors import ConfigError
 from docbench.interchange import AdapterConfig, load_adapter_config
@@ -16,7 +27,7 @@ from docbench.pipeline import (STATUS_ERROR, STATUS_MISSING, STATUS_SCORED,
                                config_hash, evaluate_run, journal_header,
                                plan_units, read_journal, resolve_output,
                                score_unit, unit_result_to_line,
-                               zero_score_labels)
+                               worker_count, zero_score_labels)
 from docbench.report import aggregate
 
 GOLDEN_LABELS = ("abstract", "author", "paragraph", "reference",
@@ -267,6 +278,169 @@ def test_evaluate_run_parallel_identical_bytes(golden_dir: Path,
     list(evaluate_run(_golden_config(golden_dir, "partial", parallelism=4),
                       journal_path=threaded))
     assert sequential.read_bytes() == threaded.read_bytes()
+
+
+def test_evaluate_run_rejects_headerless_journal_with_units(golden_dir: Path,
+                                                         tmp_path: Path):
+    golden = golden_dir / "expected" / "partial.jsonl"
+    units_only = golden.read_bytes().split(b"\n", 1)[1]
+    journal = tmp_path / "partial.jsonl"
+    journal.write_bytes(units_only)
+    with pytest.raises(ConfigError, match="no header"):
+        list(evaluate_run(_golden_config(golden_dir, "partial"),
+                          journal_path=journal))
+    assert journal.read_bytes() == units_only
+
+
+def test_evaluate_run_rewrites_journal_cut_in_its_header(golden_dir: Path,
+                                                        tmp_path: Path):
+    golden = (golden_dir / "expected" / "partial.jsonl").read_bytes()
+    journal = tmp_path / "partial.jsonl"
+    journal.write_bytes(golden[:golden.index(b"\n") // 2])
+    list(evaluate_run(_golden_config(golden_dir, "partial"),
+                      journal_path=journal))
+    assert journal.read_bytes() == golden
+
+
+def test_worker_count_is_capped_at_cpu_count(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    assert worker_count(10_000) == 4
+    assert worker_count(3) == 3
+    assert worker_count(1) == 1
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert worker_count(10_000) == 1
+
+
+def _doc_scope_corpus(root: Path) -> dict:
+    """Four two-page documents with document-wide JSON output: two whole,
+    one without an output file and one whose JSON is cut short."""
+    gt_root, out_root = root / "gt", root / "out"
+    gt_root.mkdir()
+    out_root.mkdir()
+    statuses = ("scored", "missing", "scored", "truncated")
+    for d, status in enumerate(statuses):
+        doc = f"2101.{d:05d}"
+        blocks = []
+        for page in range(2):
+            title = [f"Title{d}x{page}", "of", "page"]
+            words = [f"w{d}{page}{i}" for i in range(12)]
+            lines = [f"{t}\t0\t0\t1\t1\t0\t0\t0\tF\ttitle" for t in title]
+            lines += [f"{t}\t0\t0\t1\t1\t0\t0\t0\tF\tparagraph"
+                      for t in words]
+            (gt_root / f"{doc}_{page}.txt").write_text(
+                "\n".join(lines) + "\n", encoding="utf-8")
+            blocks += [" ".join(title), " ".join(words[:6]),
+                       " ".join(words[6:11] + ["noise"])]
+        text = json.dumps({"titles": blocks[::3],
+                           "blocks": [{"text": b} for b in blocks]})
+        if status == "truncated":
+            text = text[:len(text) // 2]
+        if status != "missing":
+            (out_root / f"{doc}.json").write_text(text, encoding="utf-8")
+    return dict(output_root=out_root, gt_root=gt_root,
+                labels=("paragraph", "title"),
+                adapter=AdapterConfig("scopetool", "json",
+                                      {"paragraph": "blocks.text",
+                                       "title": "titles"},
+                                      scope="document"))
+
+
+def test_document_scope_parses_once_per_document_and_label(tmp_path: Path,
+                                                           monkeypatch):
+    corpus = _doc_scope_corpus(tmp_path)
+    calls: Counter = Counter()
+    run_adapter = pipeline._run_adapter
+
+    def counted(path, adapter, label, key):
+        calls[(str(key), label)] += 1
+        return run_adapter(path, adapter, label, key)
+
+    journals = {}
+    for jobs in (1, 2, 3):
+        journal = tmp_path / f"jobs{jobs}.jsonl"
+        with monkeypatch.context() as patch:
+            if jobs == 1:
+                patch.setattr(pipeline, "_run_adapter", counted)
+            results = list(evaluate_run(RunConfig(parallelism=jobs, **corpus),
+                                        journal_path=journal))
+        journals[jobs] = journal.read_bytes()
+        if jobs == 1:
+            assert Counter(r.status for r in results) == {
+                STATUS_SCORED: 8, STATUS_MISSING: 4, STATUS_ERROR: 4}
+    assert journals[1] == journals[2] == journals[3]
+    assert calls == {(f"2101.{d:05d}", label): 1
+                     for d in (0, 2, 3) for label in ("paragraph", "title")}
+
+
+def test_one_worker_run_loads_no_process_pool_modules(golden_dir: Path):
+    script = f"""
+import sys
+from pathlib import Path
+import docbench
+from docbench.interchange import load_adapter_config
+from docbench.pipeline import RunConfig, evaluate_run
+golden = Path({str(golden_dir)!r})
+config = RunConfig(output_root=golden / "out" / "partial",
+                   adapter=load_adapter_config(golden / "adapters" / "partial.json"),
+                   labels={GOLDEN_LABELS!r}, gt_root=golden / "gt")
+assert len(list(evaluate_run(config))) == 9
+print(sorted({{"multiprocessing", "concurrent.futures.process"}} & set(sys.modules)))
+"""
+    src = str(Path(docbench.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+@contextlib.contextmanager
+def _deadline(seconds: int):
+    def expire(signum, frame):
+        raise TimeoutError(f"no result within {seconds} s")
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.skipif(worker_count(2) < 2, reason="a worker pool needs 2 CPUs")
+def test_killed_worker_breaks_one_run_then_a_fresh_pool_serves(
+        golden_dir: Path, tmp_path: Path):
+    sequential = tmp_path / "seq.jsonl"
+    list(evaluate_run(_golden_config(golden_dir, "partial"),
+                      journal_path=sequential))
+    config = _golden_config(golden_dir, "partial", parallelism=2)
+    list(evaluate_run(config))
+    victim = multiprocessing.active_children()[0]
+    os.kill(victim.pid, signal.SIGKILL)
+    assert wait([victim.sentinel], timeout=30)
+    parallel = tmp_path / "par.jsonl"
+    with _deadline(60):
+        with pytest.raises(BrokenProcessPool):
+            list(evaluate_run(config))
+        list(evaluate_run(config, journal_path=parallel))
+    assert parallel.read_bytes() == sequential.read_bytes()
+
+
+def test_pool_is_replaced_when_the_worker_count_changes(golden_dir: Path,
+                                                       tmp_path: Path,
+                                                       monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    sequential = tmp_path / "seq.jsonl"
+    list(evaluate_run(_golden_config(golden_dir, "partial"),
+                      journal_path=sequential))
+    for jobs in (3, 2):
+        journal = tmp_path / f"jobs{jobs}.jsonl"
+        list(evaluate_run(_golden_config(golden_dir, "partial",
+                                         parallelism=jobs),
+                          journal_path=journal))
+        assert journal.read_bytes() == sequential.read_bytes()
+        assert len(multiprocessing.active_children()) == jobs
 
 
 def test_evaluate_run_accepts_prebuilt_index(golden_dir: Path):
