@@ -8,14 +8,13 @@ order-sensitive accuracy.
 
 from .corpus import (DEFAULT_KEY_PATTERN, DEFAULT_LABELS, CorpusIndex,
                      DocumentKey, GroundTruthPage, GroundTruthToken, PageKey,
-                     filter_by_label, format_gt_record, index_corpus,
-                     load_index, parse_gt_page, parse_gt_record,
-                     parse_page_key, sample_by_month, save_index)
+                     format_gt_record, index_corpus, load_index,
+                     parse_gt_page, parse_gt_record, parse_page_key,
+                     sample_by_month, save_index)
 from .interchange import (AdapterConfig, ExtractionRecord, load_adapter_config,
                           parse_json_extraction, parse_plaintext,
                           parse_table_csv, parse_xml_extraction,
-                          read_records_jsonl, save_adapter_config,
-                          tokenize, write_records_jsonl)
+                          save_adapter_config, tokenize)
 from .metrics import (DocumentScores, MatchConfig, SimilarityMatrix, accuracy,
                       collate, edit_distance, f1, lev_ratio, precision, recall,
                       score_document, similarity_matrix)

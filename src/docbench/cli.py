@@ -1,8 +1,9 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 I/O failure, 2 configuration error, 3 validation
-findings. Individual unit failures during eval (missing or unreadable tool
-output) are recorded in the journal, not turned into a non-zero exit.
+findings, 130 interrupted (Ctrl-C). Individual unit failures during eval
+(missing or unreadable tool output) are recorded in the journal, not turned
+into a non-zero exit.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ EXIT_OK = 0
 EXIT_IO = 1
 EXIT_CONFIG = 2
 EXIT_FINDINGS = 3
+EXIT_INTERRUPTED = 130
 
 
 def _split_labels(raw: str) -> tuple[str, ...]:
@@ -326,6 +328,10 @@ def main(argv: list[str] | None = None) -> int:
     except DocbenchError as exc:
         print(f"[ERROR] {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except KeyboardInterrupt:
+        print("[ERROR] interrupted; rerun the same command to resume",
+              file=sys.stderr)
+        return EXIT_INTERRUPTED
 
 
 if __name__ == "__main__":

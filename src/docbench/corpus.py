@@ -308,13 +308,6 @@ def index_corpus(
     return CorpusIndex(entries, label_presence, vocabulary, tuple(skipped))
 
 
-def filter_by_label(index: CorpusIndex, label: str) -> tuple[PageKey, ...]:
-    """Pages containing at least one token with the given label, sorted."""
-    if label not in index.vocabulary:
-        raise UnknownLabel(label)
-    return tuple(sorted(index.pages_with_label(label)))
-
-
 def sample_by_month(index: CorpusIndex, from_month: str, to_month: str) -> frozenset[PageKey]:
     """Pages of documents whose id starts with a YYMM prefix inside the range.
 

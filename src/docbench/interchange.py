@@ -348,45 +348,3 @@ def restrict_units(
         for position, best in zip(positions, matrix.values.max(axis=1)):
             keep[position] = best >= config.threshold
     return tuple(unit for unit, kept in zip(units, keep) if kept)
-
-
-def write_records_jsonl(records, path: str | Path) -> None:
-    """Dump records one JSON object per line: {tool, doc, page, label, tokens}."""
-    with open(path, "w", encoding="utf-8") as handle:
-        for record in records:
-            page = None
-            doc = None
-            if isinstance(record.key, PageKey):
-                doc = record.key.document_id
-                page = record.key.page_index
-            elif isinstance(record.key, DocumentKey):
-                doc = record.key.document_id
-            handle.write(json.dumps(
-                {"tool": record.tool, "doc": doc, "page": page,
-                 "label": record.label, "tokens": list(record.tokens)},
-                ensure_ascii=False, separators=(",", ":")) + "\n")
-
-
-def read_records_jsonl(path: str | Path) -> list[ExtractionRecord]:
-    """Load a JSONL dump; item boundaries are not stored, so each record
-    comes back as a single unit."""
-    records = []
-    with open(path, encoding="utf-8") as handle:
-        for line in handle:
-            if not line.strip():
-                continue
-            payload = json.loads(line)
-            if payload.get("page") is not None:
-                key = PageKey(payload["doc"], int(payload["page"]))
-            elif payload.get("doc"):
-                key = DocumentKey(payload["doc"])
-            else:
-                key = None
-            tokens = tuple(payload.get("tokens", ()))
-            records.append(ExtractionRecord(
-                tool=payload.get("tool", ""),
-                key=key,
-                label=payload["label"],
-                units=(tokens,) if tokens else (),
-            ))
-    return records

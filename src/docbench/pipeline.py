@@ -20,7 +20,7 @@ from collections import deque
 from dataclasses import dataclass
 from itertools import groupby
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Mapping
 
 from .corpus import (DEFAULT_KEY_PATTERN, DEFAULT_LABELS, CorpusIndex,
                      DocumentKey, PageKey, index_corpus, parse_gt_page,
@@ -108,24 +108,53 @@ def config_hash(config: RunConfig) -> str:
     return digest.hexdigest()[:12]
 
 
-def plan_units(index: CorpusIndex, config: RunConfig) -> list[EvaluationUnit]:
-    """All evaluation units, sorted by page key then label.
+UnitKey = tuple[str, int, str]
+
+
+def _unit_key(item: EvaluationUnit | UnitResult) -> UnitKey:
+    return (item.key.document_id, item.key.page_index, item.label)
+
+
+def plan_units(
+    index: CorpusIndex,
+    config: RunConfig,
+    done: Mapping[UnitKey, UnitResult] | None = None,
+) -> list[EvaluationUnit | UnitResult]:
+    """Every unit of the run, sorted by page key then label.
 
     The unit population depends only on the ground truth, never on tool
     output; a unit exists exactly when the page has tokens for the label.
+
+    With `done`, the journalled results of a resumed run, a page is not
+    parsed when every wanted label the index lists for it is in `done`:
+    those results stand in for its units, in label order. This is exact. A
+    unit needs a valid token line whose label field the index's label pass
+    also saw, so a page's units are a subset of its index labels, and once
+    all of those are journalled, parsing the page adds no pending unit. A
+    page with a pending label is parsed as in a fresh run; so is, on every
+    resume, a page whose lines for some indexed label are all malformed. If
+    the ground truth changed after the journal was written, a skipped page
+    yields the journal's lines, which are the lines `report` counts.
     """
     wanted = sorted(set(config.labels))
     for label in wanted:
         if label not in index.vocabulary:
             logger.warning("label %r is outside the index vocabulary; "
                            "no units will be planned for it", label)
+    presence = [(label, index.pages_with_label(label)) for label in wanted]
     keys: set[PageKey] = set()
-    for label in wanted:
-        keys |= index.pages_with_label(label)
+    for _, pages in presence:
+        keys |= pages
     if config.sample:
         keys &= sample_by_month(index, *config.sample)
-    units: list[EvaluationUnit] = []
+    units: list[EvaluationUnit | UnitResult] = []
     for key in sorted(keys):
+        if done:
+            journalled = [done.get((key.document_id, key.page_index, label))
+                          for label, pages in presence if key in pages]
+            if all(result is not None for result in journalled):
+                units.extend(journalled)
+                continue
         page = parse_gt_page(index.entries[key], index.vocabulary,
                              config.key_pattern, strict=False,
                              nfc=config.match.normalize_nfc)
@@ -348,16 +377,18 @@ def read_journal(path: str | Path) -> tuple[dict | None, list[UnitResult]]:
 
     A line that is not a complete unit record is skipped with a warning, and
     so is a repeat of a unit already read: the first line of a unit counts.
+    Each line is decoded on its own, so a line cut inside a multi-byte
+    character is one malformed line.
     """
     header = None
-    results: dict[tuple[str, int, str], UnitResult] = {}
-    with open(path, encoding="utf-8") as handle:
+    results: dict[UnitKey, UnitResult] = {}
+    with open(path, "rb") as handle:
         for line_no, line in enumerate(handle, start=1):
             line = line.strip()
             if not line:
                 continue
             try:
-                payload = json.loads(line)
+                payload = json.loads(line.decode("utf-8"))
                 if isinstance(payload, dict) and payload.get("kind") == "header":
                     header = payload
                     continue
@@ -365,13 +396,34 @@ def read_journal(path: str | Path) -> tuple[dict | None, list[UnitResult]]:
             except (KeyError, TypeError, ValueError):
                 logger.warning("skipping malformed journal line %d", line_no)
                 continue
-            unit = (result.key.document_id, result.key.page_index, result.label)
+            unit = _unit_key(result)
             if unit in results:
                 logger.warning("skipping repeated unit %s/%s on journal line %d",
                                result.key, result.label, line_no)
                 continue
             results[unit] = result
     return header, list(results.values())
+
+
+def _cut_partial_line(path: Path) -> None:
+    """Truncate a journal after its last newline, reading only its tail.
+
+    An interrupted run can leave part of a line at the end. Appending to it
+    would merge the fragment and the next line into one malformed line, and
+    that unit would be lost.
+    """
+    with open(path, "r+b") as handle:
+        end = pos = handle.seek(0, os.SEEK_END)
+        while pos > 0:
+            step = min(pos, 4096)
+            handle.seek(pos - step)
+            newline = handle.read(step).rfind(b"\n")
+            if newline >= 0:
+                pos += newline + 1 - step
+                break
+            pos -= step
+        if pos < end:
+            handle.truncate(pos)
 
 
 def evaluate_run(
@@ -383,21 +435,23 @@ def evaluate_run(
 
     With a journal path, previously journalled units are not recomputed and
     new results are appended as they complete; the yielded stream always
-    covers all units. Worker count changes neither results nor bytes.
+    covers all units. The journal is read before planning, so a resume
+    parses only the ground-truth pages that still have a pending unit (see
+    plan_units). Worker count changes neither results nor bytes.
     """
     if index is None:
         if config.gt_root is None:
             raise ConfigError("need either an index or a ground-truth root")
         index = index_corpus(config.gt_root, config.vocabulary, config.key_pattern)
-    units = plan_units(index, config)
 
-    done: dict[tuple[str, int, str], UnitResult] = {}
+    done: dict[UnitKey, UnitResult] = {}
     journal_file = None
     expected_hash = config_hash(config)
     if journal_path is not None:
         journal_path = Path(journal_path)
         header, previous = None, []
         if journal_path.exists() and journal_path.stat().st_size > 0:
+            _cut_partial_line(journal_path)
             header, previous = read_journal(journal_path)
             if header is None and previous:
                 raise ConfigError(
@@ -409,8 +463,7 @@ def evaluate_run(
                     f"{header.get('config')!r}, current config is "
                     f"{expected_hash!r}")
         for result in previous:
-            done[(result.key.document_id, result.key.page_index,
-                  result.label)] = result
+            done[_unit_key(result)] = result
         if header is None:
             # A new journal, or one cut before its first unit line.
             journal_file = open(journal_path, "w", encoding="utf-8")
@@ -419,8 +472,8 @@ def evaluate_run(
         else:
             journal_file = open(journal_path, "a", encoding="utf-8")
 
-    pending = [u for u in units
-               if (u.key.document_id, u.key.page_index, u.label) not in done]
+    units = plan_units(index, config, done)
+    pending = [u for u in units if _unit_key(u) not in done]
     # Units are sorted by page key, so each document's units are contiguous.
     documents = [list(group) for _, group in
                  groupby(pending, key=lambda u: u.key.document_id)]
@@ -435,7 +488,7 @@ def evaluate_run(
 
 def _merge(units, done, fresh, journal_file) -> Iterator[UnitResult]:
     for unit in units:
-        key = (unit.key.document_id, unit.key.page_index, unit.label)
+        key = _unit_key(unit)
         if key in done:
             yield done[key]
             continue

@@ -1,4 +1,5 @@
-"""End-to-end CLI tests; every case runs the real interpreter."""
+"""End-to-end CLI tests; every case but the interrupt runs the real
+interpreter."""
 
 from __future__ import annotations
 
@@ -56,6 +57,21 @@ def test_eval_threshold_out_of_range(golden_dir: Path, tmp_path: Path):
                 "--threshold", "1.5")
     assert proc.returncode == 2
     assert "threshold" in proc.stderr
+
+
+def test_eval_interrupted_exits_130(golden_dir: Path, tmp_path: Path,
+                                    monkeypatch, capsys):
+    from docbench import cli
+
+    def interrupted(*args, **kwargs):  # a generator, as evaluate_run is
+        raise KeyboardInterrupt
+        yield
+
+    monkeypatch.setattr(cli, "evaluate_run", interrupted)
+    code = cli.main(_eval_args(golden_dir, "perfect", tmp_path / "j.jsonl"))
+    assert code == 130
+    assert capsys.readouterr().err == (
+        "[ERROR] interrupted; rerun the same command to resume\n")
 
 
 def test_eval_bad_sample_syntax(golden_dir: Path, tmp_path: Path):

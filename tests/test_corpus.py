@@ -6,10 +6,10 @@ from pathlib import Path
 import pytest
 
 from docbench.corpus import (DEFAULT_KEY_PATTERN, DEFAULT_LABELS, CorpusIndex,
-                             GroundTruthToken, PageKey, filter_by_label,
-                             format_gt_record, index_corpus, load_index,
-                             parse_gt_page, parse_gt_record, parse_page_key,
-                             sample_by_month, save_index, validate_label)
+                             GroundTruthToken, PageKey, format_gt_record,
+                             index_corpus, load_index, parse_gt_page,
+                             parse_gt_record, parse_page_key, sample_by_month,
+                             save_index, validate_label)
 from docbench.errors import (ConfigError, KeyParseError, MalformedRecord,
                              UnknownLabel)
 
@@ -207,14 +207,6 @@ def test_index_corpus_skips_unparseable_names(tmp_path: Path, caplog):
 def test_index_corpus_rejects_missing_root(tmp_path: Path):
     with pytest.raises(NotADirectoryError):
         index_corpus(tmp_path / "absent")
-
-
-def test_filter_by_label(golden_dir: Path):
-    index = index_corpus(golden_dir / "gt")
-    pages = filter_by_label(index, "paragraph")
-    assert pages == (PageKey("1401.0001", 0), PageKey("1403.0777", 2))
-    with pytest.raises(UnknownLabel):
-        filter_by_label(index, "paragraphs")
 
 
 def test_sample_by_month(golden_dir: Path):

@@ -5,16 +5,15 @@ from pathlib import Path
 
 import pytest
 
-from docbench.corpus import DocumentKey, PageKey
+from docbench.corpus import PageKey
 from docbench.errors import (ConfigError, CsvParseError, JsonParseError,
                              PathTypeError, XmlParseError)
 from docbench.interchange import (LOSSY_DECODE, SELECTOR_MISS, AdapterConfig,
                                   ExtractionRecord, load_adapter_config,
                                   parse_json_extraction, parse_plaintext,
                                   parse_table_csv, parse_xml_extraction,
-                                  read_records_jsonl, restrict_units,
-                                  save_adapter_config, tokenize,
-                                  write_records_jsonl)
+                                  restrict_units, save_adapter_config,
+                                  tokenize)
 from docbench.metrics import MatchConfig
 
 from oracles import ratio_reference, restrict_reference
@@ -407,23 +406,3 @@ def test_restrict_units_matches_window_oracle():
             assert kept.count(exact) == units.count(exact) >= 2
             outcomes.add(len(kept) == len(units))
     assert outcomes == {True, False}
-
-
-def test_jsonl_round_trip(tmp_path: Path):
-    records = [
-        ExtractionRecord("t", KEY, "title", (("Deep", "Parsing"),)),
-        ExtractionRecord("t", DocumentKey("1401.0001"), "reference",
-                         (("Smith",), ("Jones",))),
-        ExtractionRecord("t", None, "table", ()),
-    ]
-    path = tmp_path / "records.jsonl"
-    write_records_jsonl(records, path)
-    loaded = read_records_jsonl(path)
-    assert len(loaded) == 3
-    assert loaded[0].key == KEY
-    assert loaded[0].tokens == ("Deep", "Parsing")
-    assert loaded[1].key == DocumentKey("1401.0001")
-    # item boundaries are flattened by the dump format
-    assert loaded[1].units == (("Smith", "Jones"),)
-    assert loaded[2].key is None
-    assert loaded[2].units == ()

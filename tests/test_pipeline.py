@@ -28,7 +28,7 @@ from docbench.pipeline import (STATUS_ERROR, STATUS_MISSING, STATUS_SCORED,
                                plan_units, read_journal, resolve_output,
                                score_unit, unit_result_to_line,
                                worker_count, zero_score_labels)
-from docbench.report import aggregate
+from docbench.report import aggregate, all_task_summaries, emit_report
 
 GOLDEN_LABELS = ("abstract", "author", "paragraph", "reference",
                  "section", "table", "title")
@@ -300,6 +300,98 @@ def test_evaluate_run_rewrites_journal_cut_in_its_header(golden_dir: Path,
     list(evaluate_run(_golden_config(golden_dir, "partial"),
                       journal_path=journal))
     assert journal.read_bytes() == golden
+
+
+def test_resume_from_every_cut_offset_gives_the_clean_bytes(golden_dir: Path,
+                                                           tmp_path: Path):
+    golden = (golden_dir / "expected" / "partial.jsonl").read_bytes()
+    report = (golden_dir / "expected" / "partial_report.csv") \
+        .read_text(encoding="utf-8").split("\n", 1)[1]
+    config = _golden_config(golden_dir, "partial")
+    index = index_corpus(golden_dir / "gt")
+    journal = tmp_path / "partial.jsonl"
+    bad = []
+    for offset in range(len(golden) + 1):
+        journal.write_bytes(golden[:offset])
+        list(evaluate_run(config, index, journal))
+        _, results = read_journal(journal)
+        rows = aggregate(results, tool="partial")
+        text = emit_report(rows, all_task_summaries(rows), fmt="csv")
+        if journal.read_bytes() != golden or text != report:
+            bad.append(offset)
+    assert bad == []
+
+
+def _count_gt_parses(monkeypatch) -> list[str]:
+    """Page keys of every ground-truth page planning parses, in order."""
+    parsed: list[str] = []
+    parse = pipeline.parse_gt_page
+
+    def counted(*args, **kwargs):
+        page = parse(*args, **kwargs)
+        parsed.append(str(page.key))
+        return page
+
+    monkeypatch.setattr(pipeline, "parse_gt_page", counted)
+    return parsed
+
+
+def _lines(results) -> list[str]:
+    return [unit_result_to_line(r) for r in results]
+
+
+@pytest.mark.parametrize("jobs", (1, 2))
+def test_fresh_run_parses_every_planned_page_once(golden_dir: Path,
+                                                  monkeypatch, jobs: int):
+    parsed = _count_gt_parses(monkeypatch)
+    list(evaluate_run(_golden_config(golden_dir, "partial", parallelism=jobs)))
+    assert parsed == ["1401.0001:0", "1401.0001:1", "1402.0042:0",
+                      "1403.0777:0", "1403.0777:2"]
+
+
+@pytest.mark.parametrize("jobs", (1, 2))
+@pytest.mark.parametrize("dropped", ((), ("1402.0042:0",), ("1403.0777:2",)))
+def test_resume_parses_only_the_pages_with_pending_units(golden_dir: Path,
+                                                         tmp_path: Path,
+                                                         monkeypatch, jobs: int,
+                                                         dropped: tuple):
+    golden = (golden_dir / "expected" / "partial.jsonl").read_bytes()
+    header, *lines = golden.splitlines(keepends=True)
+    on_pages = [line for line in lines
+                if "%(doc)s:%(page)d" % json.loads(line) in dropped]
+    kept = [line for line in lines if line not in on_pages]
+    journal = tmp_path / "partial.jsonl"
+    journal.write_bytes(header + b"".join(kept))
+    config = _golden_config(golden_dir, "partial", parallelism=jobs)
+    clean = list(evaluate_run(config))
+    parsed = _count_gt_parses(monkeypatch)
+    results = list(evaluate_run(config, journal_path=journal))
+    assert parsed == list(dropped)
+    assert _lines(results) == _lines(clean)
+    # The missing lines are appended: with none missing, or only the last
+    # page's, the journal equals the clean run's.
+    assert journal.read_bytes() == header + b"".join(kept + on_pages)
+    if dropped in ((), ("1403.0777:2",)):
+        assert journal.read_bytes() == golden
+
+
+def test_read_journal_skips_a_line_cut_inside_a_character(golden_dir: Path,
+                                                         tmp_path: Path,
+                                                         caplog):
+    # The default key pattern's \d accepts Arabic-Indic digits, two UTF-8
+    # bytes each: 9 and 11 bytes into the line fall inside one.
+    doc = "\u0662\u0661\u0660\u0661.\u0660\u0660\u0660\u0660\u0661"
+    golden = (golden_dir / "expected" / "partial.jsonl").read_bytes()
+    header, first, *_ = golden.splitlines(keepends=True)
+    line = first.replace(b"1401.0001", doc.encode("utf-8"))
+    for cut in (9, 11):
+        journal = tmp_path / f"cut{cut}.jsonl"
+        journal.write_bytes(header + line + line[:cut])
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="docbench.pipeline"):
+            _, results = read_journal(journal)
+        assert [r.key.document_id for r in results] == [doc]
+        assert "malformed journal line 3" in caplog.text
 
 
 def test_worker_count_is_capped_at_cpu_count(monkeypatch):
