@@ -7,14 +7,11 @@ order-sensitive accuracy.
 """
 
 from .corpus import (DEFAULT_KEY_PATTERN, DEFAULT_LABELS, CorpusIndex,
-                     DocumentKey, GroundTruthPage, GroundTruthToken, PageKey,
-                     format_gt_record, index_corpus, load_index,
-                     parse_gt_page, parse_gt_record, parse_page_key,
-                     sample_by_month, save_index)
+                     GroundTruthPage, GroundTruthToken, PageKey, index_corpus,
+                     load_index, parse_gt_page, parse_gt_record,
+                     parse_page_key, sample_by_month, save_index)
 from .interchange import (AdapterConfig, ExtractionRecord, load_adapter_config,
-                          parse_json_extraction, parse_plaintext,
-                          parse_table_csv, parse_xml_extraction,
-                          save_adapter_config, tokenize)
+                          read_records, tokenize)
 from .metrics import (DocumentScores, MatchConfig, SimilarityMatrix, accuracy,
                       collate, edit_distance, f1, lev_ratio, precision, recall,
                       score_document, similarity_matrix)

@@ -16,9 +16,8 @@ from pathlib import Path
 from .corpus import (DEFAULT_KEY_PATTERN, DEFAULT_LABELS, index_corpus,
                      load_index, parse_gt_page, parse_page_key, save_index)
 from .errors import (AdapterError, ConfigError, DocbenchError, KeyParseError)
-from .interchange import (SELECTOR_MISS, AdapterConfig, load_adapter_config,
-                          parse_json_extraction, parse_plaintext,
-                          parse_table_csv, parse_xml_extraction)
+from .interchange import (_EXTENSIONS, SELECTOR_MISS, AdapterConfig,
+                          load_adapter_config, read_records)
 from .metrics import MatchConfig
 from .pipeline import (HARNESS_NAME, HARNESS_VERSION, RunConfig, config_hash,
                        evaluate_run, read_journal, STATUS_SCORED)
@@ -174,7 +173,6 @@ def _validate_tool_output(args: argparse.Namespace, findings: list[str]) -> None
     root = Path(args.tool_output)
     if not root.is_dir():
         raise NotADirectoryError(f"not a directory: {root}")
-    suffix = {"xml": ".xml", "json": ".json", "csv": ".csv", "text": ".txt"}
     if adapter.format == "csv":
         labels = ["table"]
     else:
@@ -182,19 +180,10 @@ def _validate_tool_output(args: argparse.Namespace, findings: list[str]) -> None
     if not labels:
         findings.append(f"{args.adapter_config}: selector map is empty")
         return
-    for path in sorted(root.rglob("*" + suffix[adapter.format])):
-        for label in labels:
-            try:
-                if adapter.format == "xml":
-                    record = parse_xml_extraction(path, adapter, label)[0]
-                elif adapter.format == "json":
-                    record = parse_json_extraction(path, adapter, label)[0]
-                elif adapter.format == "csv":
-                    record = parse_table_csv(path, tool=adapter.tool)[0]
-                else:
-                    record = parse_plaintext(path, adapter, label)[0]
-            except AdapterError as exc:
-                findings.append(f"{path}: {exc}")
+    for path in sorted(root.rglob("*" + _EXTENSIONS[adapter.format])):
+        for label, record in read_records(path, adapter, labels).items():
+            if isinstance(record, AdapterError):
+                findings.append(f"{path}: {record}")
                 break
             if SELECTOR_MISS in record.flags:
                 findings.append(f"{path}: selector miss for label {label!r}")

@@ -64,16 +64,6 @@ class PageKey:
         return f"{self.document_id}:{self.page_index}"
 
 
-@dataclass(frozen=True, order=True)
-class DocumentKey:
-    """Identity of a whole document, used by document-scoped tool output."""
-
-    document_id: str
-
-    def __str__(self) -> str:
-        return self.document_id
-
-
 @dataclass(frozen=True)
 class GroundTruthToken:
     text: str
@@ -175,16 +165,6 @@ def parse_gt_record(
     token = GroundTruthToken(text, x0, y0, x1, y1, rgb[0], rgb[1], rgb[2],
                              fields[8].strip(), label)
     return token, tuple(issues)
-
-
-def format_gt_record(token: GroundTruthToken) -> str:
-    """Inverse of parse_gt_record for well-formed tokens."""
-    return "\t".join([
-        token.text,
-        str(token.x0), str(token.y0), str(token.x1), str(token.y1),
-        str(token.r), str(token.g), str(token.b),
-        token.font_name, token.label,
-    ])
 
 
 @functools.lru_cache(maxsize=64)

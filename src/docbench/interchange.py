@@ -13,8 +13,9 @@ split tokens. Formats differ only in what a selector means:
          way are mapped over, so 'authors.name' visits every author. The
          path must end at a string, a number, or a list of those; each leaf
          is one item.
-  csv    no selector (the whole table is the item set, one item per row,
-         cells flattened row-major); only the 'table' label may be mapped.
+  csv    no selector (the whole table is the item set of the 'table' label,
+         one item per row, cells flattened row-major); only 'table' may be
+         mapped, and any other label is a selector miss.
   text   a 1-based line rule: 'N', 'N-M', 'N-' or '*' / empty for the whole
          file; each selected line is one item.
 """
@@ -27,9 +28,10 @@ import json
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Iterable
 
-from .corpus import DocumentKey, PageKey, validate_label
-from .errors import (ConfigError, CsvParseError, JsonParseError,
+from .corpus import validate_label
+from .errors import (AdapterError, ConfigError, CsvParseError, JsonParseError,
                      PathTypeError, XmlParseError)
 from .metrics import DEFAULT_MATCH, MatchConfig, collate, similarity_matrix
 
@@ -51,17 +53,14 @@ def tokenize(text: str) -> tuple[str, ...]:
 
 @dataclass(frozen=True)
 class ExtractionRecord:
-    """One tool's output for one label on one scope unit (page or document).
+    """A tool's output for one label in one output file (page or document).
 
     units preserves item boundaries (one matched element, one JSON leaf, one
     CSV row, one text line); tokens is the flattened view used for scoring.
     """
 
-    tool: str
-    key: PageKey | DocumentKey | None
     label: str
     units: tuple[tuple[str, ...], ...]
-    source_path: Path | None = None
     flags: tuple[str, ...] = ()
 
     @property
@@ -127,28 +126,6 @@ def load_adapter_config(path: str | Path) -> AdapterConfig:
     )
 
 
-def save_adapter_config(config: AdapterConfig, path: str | Path) -> None:
-    payload = {
-        "format_version": ADAPTER_FORMAT_VERSION,
-        "tool": config.tool,
-        "format": config.format,
-        "scope": config.scope,
-        "selectors": dict(sorted(config.selector_map.items())),
-    }
-    if config.path_template:
-        payload["path_template"] = config.path_template
-    Path(path).write_text(json.dumps(payload, indent=2, ensure_ascii=False) + "\n",
-                          encoding="utf-8")
-
-
-def _read_lossy(path: Path) -> tuple[str, tuple[str, ...]]:
-    data = path.read_bytes()
-    try:
-        return data.decode("utf-8"), ()
-    except UnicodeDecodeError:
-        return data.decode("utf-8", errors="replace"), (LOSSY_DECODE,)
-
-
 def _xml_element_path(selector: str) -> str:
     if selector.startswith((".", "/")):
         return selector
@@ -159,32 +136,9 @@ def _xml_element_path(selector: str) -> str:
         p if p.startswith("{") or p == "*" else "{*}" + p for p in parts)
 
 
-def parse_xml_extraction(
-    path: str | Path,
-    config: AdapterConfig,
-    label: str,
-    key: PageKey | DocumentKey | None = None,
-) -> list[ExtractionRecord]:
-    """One record per scope unit; each element matching the selector is an item."""
-    path = Path(path)
-    text, flags = _read_lossy(path)
-    try:
-        root = ET.fromstring(text)
-    except ET.ParseError as exc:
-        raise XmlParseError(f"{path.name}: {exc}") from None
-    selector = config.selector_map.get(label)
-    if selector is None:
-        return [ExtractionRecord(config.tool, key, label, (), path,
-                                 flags + (SELECTOR_MISS,))]
+def _xml_items(root: ET.Element, selector: str) -> list[str] | None:
     matches = root.findall(_xml_element_path(selector))
-    if not matches:
-        flags = flags + (SELECTOR_MISS,)
-    units = []
-    for element in matches:
-        unit = tokenize(" ".join(element.itertext()))
-        if unit:
-            units.append(unit)
-    return [ExtractionRecord(config.tool, key, label, tuple(units), path, flags)]
+    return [" ".join(element.itertext()) for element in matches] or None
 
 
 def _json_leaves(value, trail: str) -> list[str]:
@@ -226,48 +180,19 @@ def _json_walk(value, parts: list[str], trail: str) -> list[str] | None:
     return _json_walk(value[head], rest, trail)
 
 
-def parse_json_extraction(
-    path: str | Path,
-    config: AdapterConfig,
-    label: str,
-    key: PageKey | DocumentKey | None = None,
-) -> list[ExtractionRecord]:
-    """One record per scope unit; each string leaf under the path is an item."""
-    path = Path(path)
-    text, flags = _read_lossy(path)
-    try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise JsonParseError(f"{path.name}: {exc}") from None
-    selector = config.selector_map.get(label)
-    if selector is None:
-        return [ExtractionRecord(config.tool, key, label, (), path,
-                                 flags + (SELECTOR_MISS,))]
-    leaves = _json_walk(payload, [p for p in selector.split(".") if p], selector)
-    if leaves is None:
-        leaves = []
-        flags = flags + (SELECTOR_MISS,)
-    units = tuple(unit for unit in (tokenize(leaf) for leaf in leaves) if unit)
-    return [ExtractionRecord(config.tool, key, label, units, path, flags)]
+def _json_items(payload, selector: str) -> list[str] | None:
+    return _json_walk(payload, [p for p in selector.split(".") if p], selector)
 
 
-def parse_table_csv(
-    path: str | Path,
-    tool: str = "",
-    key: PageKey | DocumentKey | None = None,
-) -> list[ExtractionRecord]:
-    """Flatten a CSV table row-major; always labelled 'table', one item per row."""
-    path = Path(path)
-    text, flags = _read_lossy(path)
-    units = []
-    try:
-        for row in csv.reader(io.StringIO(text)):
-            unit = tuple(token for cell in row for token in tokenize(cell))
-            if unit:
-                units.append(unit)
-    except csv.Error as exc:
-        raise CsvParseError(f"{path.name}: {exc}") from None
-    return [ExtractionRecord(tool, key, "table", tuple(units), path, flags)]
+def _csv_rows(text: str) -> list[str]:
+    return [" ".join(row) for row in csv.reader(io.StringIO(text))]
+
+
+def _text_lines(text: str) -> list[str]:
+    lines = text.split("\n")
+    if lines and lines[-1] == "":
+        lines.pop()
+    return lines
 
 
 def _parse_line_rule(rule: str, line_count: int) -> range:
@@ -288,34 +213,62 @@ def _parse_line_rule(rule: str, line_count: int) -> range:
     return range(start, min(end, line_count) + 1)
 
 
-def parse_plaintext(
-    path: str | Path,
-    config: AdapterConfig,
-    label: str,
-    key: PageKey | DocumentKey | None = None,
-) -> list[ExtractionRecord]:
-    """One record per scope unit; each selected line is an item.
+def _line_items(lines: list[str], rule: str) -> list[str] | None:
+    return [lines[n - 1] for n in _parse_line_rule(rule, len(lines))] or None
 
-    The selector is a 1-based inclusive line rule ('2', '2-3', '4-', '*').
+
+# format -> (parse the decoded file, the exception that parse raises, the
+# AdapterError it becomes, a selector's item texts or None on a miss).
+# Splitting text into lines cannot fail, so it catches nothing.
+_READERS = {
+    "xml": (ET.fromstring, ET.ParseError, XmlParseError, _xml_items),
+    "json": (json.loads, json.JSONDecodeError, JsonParseError, _json_items),
+    "csv": (_csv_rows, csv.Error, CsvParseError, lambda rows, _: rows),
+    "text": (_text_lines, (), AdapterError, _line_items),
+}
+
+
+def read_records(
+    path: str | Path,
+    adapter: AdapterConfig,
+    labels: Iterable[str],
+) -> dict[str, ExtractionRecord | AdapterError]:
+    """Every label's record from one output file, which is read and parsed once.
+
+    Each item text is split into one unit of tokens; items without tokens
+    are dropped. A label with no selector, or whose selector finds nothing,
+    gets an empty record flagged SELECTOR_MISS. A CSV file is the item set of
+    the 'table' label alone, one item per row, and never a miss. A file that
+    does not parse gives its AdapterError for every label; a JSON path that
+    ends at an unusable value gives its PathTypeError for that label only.
+    A bad selector or line rule raises ConfigError.
     """
     path = Path(path)
-    text, flags = _read_lossy(path)
-    lines = text.split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()
-    rule = config.selector_map.get(label)
-    if rule is None:
-        return [ExtractionRecord(config.tool, key, label, (), path,
-                                 flags + (SELECTOR_MISS,))]
-    selected = _parse_line_rule(rule, len(lines))
-    if len(selected) == 0:
-        flags = flags + (SELECTOR_MISS,)
-    units = []
-    for line_no in selected:
-        unit = tokenize(lines[line_no - 1])
-        if unit:
-            units.append(unit)
-    return [ExtractionRecord(config.tool, key, label, tuple(units), path, flags)]
+    data = path.read_bytes()
+    try:
+        text, flags = data.decode("utf-8"), ()
+    except UnicodeDecodeError:
+        text, flags = data.decode("utf-8", errors="replace"), (LOSSY_DECODE,)
+    parse, parse_error, adapter_error, select = _READERS[adapter.format]
+    try:
+        tree = parse(text)
+    except parse_error as exc:
+        return dict.fromkeys(labels, adapter_error(f"{path.name}: {exc}"))
+    selectors = {"table": ""} if adapter.format == "csv" else adapter.selector_map
+    records: dict[str, ExtractionRecord | AdapterError] = {}
+    for label in labels:
+        selector = selectors.get(label)
+        try:
+            items = None if selector is None else select(tree, selector)
+        except PathTypeError as exc:
+            records[label] = exc
+            continue
+        if items is None:
+            records[label] = ExtractionRecord(label, (), flags + (SELECTOR_MISS,))
+        else:
+            units = tuple(unit for unit in map(tokenize, items) if unit)
+            records[label] = ExtractionRecord(label, units, flags)
+    return records
 
 
 def restrict_units(

@@ -17,17 +17,16 @@ import json
 import logging
 import os
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import groupby
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping
 
 from .corpus import (DEFAULT_KEY_PATTERN, DEFAULT_LABELS, CorpusIndex,
-                     DocumentKey, PageKey, index_corpus, parse_gt_page,
-                     sample_by_month, validate_label)
-from .errors import AdapterError, ConfigError
-from .interchange import (AdapterConfig, ExtractionRecord, parse_json_extraction,
-                          parse_plaintext, parse_table_csv, parse_xml_extraction,
+                     PageKey, index_corpus, parse_gt_page, sample_by_month,
+                     validate_label)
+from .errors import AdapterError, ConfigError, PathTypeError
+from .interchange import (AdapterConfig, ExtractionRecord, read_records,
                           restrict_units)
 from .metrics import DEFAULT_MATCH, DocumentScores, MatchConfig, score_document
 
@@ -165,62 +164,49 @@ def plan_units(
     return units
 
 
-def _run_adapter(path: Path, adapter: AdapterConfig, label: str,
-                 key: PageKey | DocumentKey) -> ExtractionRecord:
-    if adapter.format == "xml":
-        return parse_xml_extraction(path, adapter, label, key=key)[0]
-    if adapter.format == "json":
-        return parse_json_extraction(path, adapter, label, key=key)[0]
-    if adapter.format == "csv":
-        return parse_table_csv(path, tool=adapter.tool, key=key)[0]
-    return parse_plaintext(path, adapter, label, key=key)[0]
-
-
 def resolve_output(
     unit: EvaluationUnit,
     config: RunConfig,
-    cache: dict[tuple[Path, str], ExtractionRecord | AdapterError] | None = None,
+    cache: dict[Path, dict[str, ExtractionRecord | AdapterError]] | None = None,
 ) -> tuple[ExtractionRecord | None, str]:
     """Locate and parse the tool's output for a unit.
 
     Returns (record, status). The record is None unless status is 'scored'.
-    Document-scope output is restricted to the items this unit's page-level
-    ground truth covers. With a cache, it is parsed once per (file, label):
-    the cache keeps the record, or the AdapterError the parse raised.
+    The file is read once for every label of the run; with a cache, once per
+    path, and the cache keeps each label's record or AdapterError. A file
+    that does not parse is logged once, when it is read. Document-scope
+    output is restricted to the items this unit's page-level ground truth
+    covers.
     """
     adapter = config.adapter
     template = adapter.effective_path_template
     document = adapter.scope == "document"
     if document:
         relative = template.format(doc=unit.key.document_id)
-        record_key: PageKey | DocumentKey = DocumentKey(unit.key.document_id)
     else:
         relative = template.format(doc=unit.key.document_id,
                                    page=unit.key.page_index)
-        record_key = unit.key
     path = Path(config.output_root) / relative
-    if not path.is_file():
-        return None, STATUS_MISSING
-
-    if not document:
-        cache = None
-    parsed = cache.get((path, unit.label)) if cache is not None else None
-    if parsed is None:
-        try:
-            parsed = _run_adapter(path, adapter, unit.label, record_key)
-        except AdapterError as exc:
-            parsed = exc
+    records = cache.get(path) if cache is not None else None
+    fresh = records is None
+    if fresh:
+        if not path.is_file():
+            return None, STATUS_MISSING
+        records = read_records(path, adapter, config.labels)
         if cache is not None:
-            cache[(path, unit.label)] = parsed
-    if isinstance(parsed, AdapterError):
-        logger.warning("unreadable tool output for %s/%s: %s",
-                       unit.key, unit.label, parsed)
+            cache[path] = records
+    record = records[unit.label]
+    if isinstance(record, AdapterError):
+        if isinstance(record, PathTypeError):
+            logger.warning("unreadable tool output for %s/%s: %s",
+                           unit.key, unit.label, record)
+        elif fresh:
+            logger.warning("unreadable tool output %s: %s", path, record)
         return None, STATUS_ERROR
     if document:
-        restricted = restrict_units(parsed.units, unit.gt_tokens, config.match)
-        parsed = ExtractionRecord(parsed.tool, parsed.key, parsed.label,
-                                  restricted, parsed.source_path, parsed.flags)
-    return parsed, STATUS_SCORED
+        record = replace(record, units=restrict_units(
+            record.units, unit.gt_tokens, config.match))
+    return record, STATUS_SCORED
 
 
 def score_unit(unit: EvaluationUnit, config: RunConfig,

@@ -6,10 +6,10 @@ from pathlib import Path
 import pytest
 
 from docbench.corpus import (DEFAULT_KEY_PATTERN, DEFAULT_LABELS, CorpusIndex,
-                             GroundTruthToken, PageKey, format_gt_record,
-                             index_corpus, load_index, parse_gt_page,
-                             parse_gt_record, parse_page_key, sample_by_month,
-                             save_index, validate_label)
+                             GroundTruthToken, PageKey, index_corpus,
+                             load_index, parse_gt_page, parse_gt_record,
+                             parse_page_key, sample_by_month, save_index,
+                             validate_label)
 from docbench.errors import (ConfigError, KeyParseError, MalformedRecord,
                              UnknownLabel)
 
@@ -72,13 +72,6 @@ def test_parse_record_truncates_fractional_coordinates():
     assert len(issues) == 2
     assert all(i.kind == "fractional-coordinate" for i in issues)
     assert all(i.line_no == 3 for i in issues)
-
-
-def test_record_round_trip():
-    token, _ = parse_gt_record(GOOD_LINE, DEFAULT_LABELS, 1)
-    again, issues = parse_gt_record(format_gt_record(token), DEFAULT_LABELS, 1)
-    assert issues == ()
-    assert again == token
 
 
 def test_validate_label():

@@ -5,34 +5,33 @@ from pathlib import Path
 
 import pytest
 
-from docbench.corpus import PageKey
 from docbench.errors import (ConfigError, CsvParseError, JsonParseError,
                              PathTypeError, XmlParseError)
 from docbench.interchange import (LOSSY_DECODE, SELECTOR_MISS, AdapterConfig,
                                   ExtractionRecord, load_adapter_config,
-                                  parse_json_extraction, parse_plaintext,
-                                  parse_table_csv, parse_xml_extraction,
-                                  restrict_units, save_adapter_config,
-                                  tokenize)
+                                  read_records, restrict_units, tokenize)
 from docbench.metrics import MatchConfig
 
 from oracles import ratio_reference, restrict_reference
 
-KEY = PageKey("1401.0001", 0)
+
+def _record(path: Path, config: AdapterConfig, label: str):
+    """One label's record, or the AdapterError in its place."""
+    return read_records(path, config, [label])[label]
 
 
 def test_tokenize_unicode_whitespace():
     assert tokenize("a  b\tc\nd") == ("a", "b", "c", "d")
     assert tokenize("  leading trailing  ") == ("leading", "trailing")
-    assert tokenize("non breaking") == ("non", "breaking")
+    assert tokenize("non breaking") == ("non", "breaking")
     assert tokenize("") == ()
     assert tokenize("   ") == ()
 
 
 def test_record_tokens_flatten_units():
-    record = ExtractionRecord("t", KEY, "table", (("a", "b"), ("c",)))
+    record = ExtractionRecord("table", (("a", "b"), ("c",)))
     assert record.tokens == ("a", "b", "c")
-    empty = ExtractionRecord("t", KEY, "table", ())
+    empty = ExtractionRecord("table", ())
     assert empty.tokens == ()
 
 
@@ -63,14 +62,18 @@ def test_effective_path_template():
 
 
 def test_adapter_config_json_round_trip(tmp_path: Path):
-    config = AdapterConfig("mytool", "json", {"title": "meta.title"},
-                           scope="document", path_template="{doc}.json")
     path = tmp_path / "adapter.json"
-    save_adapter_config(config, path)
-    loaded = load_adapter_config(path)
-    assert loaded == config
-    payload = json.loads(path.read_text(encoding="utf-8"))
-    assert payload["format_version"] == 1
+    path.write_text(json.dumps({
+        "format_version": 1,
+        "tool": "mytool",
+        "format": "json",
+        "scope": "document",
+        "path_template": "{doc}.json",
+        "selectors": {"title": "meta.title"},
+    }), encoding="utf-8")
+    assert load_adapter_config(path) == AdapterConfig(
+        "mytool", "json", {"title": "meta.title"},
+        scope="document", path_template="{doc}.json")
 
 
 def test_adapter_config_load_errors(tmp_path: Path):
@@ -104,27 +107,27 @@ TEI_LIKE = """<TEI xmlns="http://example.org/ns">
 </TEI>
 """
 
+XML_CONFIG = AdapterConfig("grob", "xml", {
+    "title": "titleStmt/title",
+    "paragraph": "body/p",
+    "reference": "listBibl/biblStruct",
+})
+
 
 def test_xml_adapter_namespace_ignoring(tmp_path: Path):
     path = tmp_path / "1401.0001_0.xml"
     path.write_text(TEI_LIKE, encoding="utf-8")
-    config = AdapterConfig("grob", "xml", {
-        "title": "titleStmt/title",
-        "paragraph": "body/p",
-        "reference": "listBibl/biblStruct",
-    })
-    [record] = parse_xml_extraction(path, config, "title", KEY)
+    record = _record(path, XML_CONFIG, "title")
     assert record.units == (("Deep", "Parsing"),)
     assert record.flags == ()
-    assert record.tool == "grob"
-    assert record.key == KEY
+    assert record.label == "title"
 
-    [record] = parse_xml_extraction(path, config, "paragraph", KEY)
+    record = _record(path, XML_CONFIG, "paragraph")
     # nested markup text is concatenated in document order, one unit per match
     assert record.units == (("First", "body", "paragraph."),
                             ("Second", "paragraph", "here."))
 
-    [record] = parse_xml_extraction(path, config, "reference", KEY)
+    record = _record(path, XML_CONFIG, "reference")
     assert record.units == (("Smith", "2019", "Parsing"),
                             ("Jones", "2020", "Trees"))
 
@@ -135,7 +138,7 @@ def test_xml_adapter_raw_elementpath_passthrough(tmp_path: Path):
     config = AdapterConfig("grob", "xml", {
         "title": ".//{http://example.org/ns}title",
     })
-    [record] = parse_xml_extraction(path, config, "title", KEY)
+    record = _record(path, config, "title")
     assert record.units == (("Deep", "Parsing"),)
 
 
@@ -144,11 +147,11 @@ def test_xml_adapter_selector_miss(tmp_path: Path):
     path.write_text(TEI_LIKE, encoding="utf-8")
     config = AdapterConfig("grob", "xml", {"table": "figure/table"})
     # mapped selector, zero matches
-    [record] = parse_xml_extraction(path, config, "table", KEY)
+    record = _record(path, config, "table")
     assert record.units == ()
     assert SELECTOR_MISS in record.flags
     # label absent from the map entirely
-    [record] = parse_xml_extraction(path, config, "footer", KEY)
+    record = _record(path, config, "footer")
     assert record.units == ()
     assert SELECTOR_MISS in record.flags
 
@@ -157,8 +160,7 @@ def test_xml_adapter_rejects_malformed(tmp_path: Path):
     path = tmp_path / "1401.0001_0.xml"
     path.write_text("<a><b></a>", encoding="utf-8")
     config = AdapterConfig("grob", "xml", {"title": "b"})
-    with pytest.raises(XmlParseError):
-        parse_xml_extraction(path, config, "title", KEY)
+    assert isinstance(_record(path, config, "title"), XmlParseError)
 
 
 JSON_DOC = {
@@ -171,29 +173,30 @@ JSON_DOC = {
     "missing_leaf": None,
 }
 
+JSON_CONFIG = AdapterConfig("pars", "json", {
+    "title": "meta.title",
+    "author": "meta.authors.name",
+    "section": "sections",
+    "footer": "meta.year",
+})
+
 
 def test_json_adapter_paths(tmp_path: Path):
     path = tmp_path / "1401.0001_0.json"
     path.write_text(json.dumps(JSON_DOC), encoding="utf-8")
-    config = AdapterConfig("pars", "json", {
-        "title": "meta.title",
-        "author": "meta.authors.name",
-        "section": "sections",
-        "footer": "meta.year",
-    })
-    [record] = parse_json_extraction(path, config, "title", KEY)
+    record = _record(path, JSON_CONFIG, "title")
     assert record.units == (("Deep", "Parsing"),)
 
     # a list along the path is mapped over
-    [record] = parse_json_extraction(path, config, "author", KEY)
+    record = _record(path, JSON_CONFIG, "author")
     assert record.units == (("Yuta", "Hamada"), ("Gary", "Shiu"))
 
     # a list of strings at the leaf: one item per string
-    [record] = parse_json_extraction(path, config, "section", KEY)
+    record = _record(path, JSON_CONFIG, "section")
     assert record.units == (("Intro",), ("Methods",))
 
     # numbers stringify
-    [record] = parse_json_extraction(path, config, "footer", KEY)
+    record = _record(path, JSON_CONFIG, "footer")
     assert record.units == (("2014",),)
 
 
@@ -201,7 +204,7 @@ def test_json_adapter_absent_path_is_a_miss(tmp_path: Path):
     path = tmp_path / "1401.0001_0.json"
     path.write_text(json.dumps(JSON_DOC), encoding="utf-8")
     config = AdapterConfig("pars", "json", {"abstract": "meta.abstract"})
-    [record] = parse_json_extraction(path, config, "abstract", KEY)
+    record = _record(path, config, "abstract")
     assert record.units == ()
     assert SELECTOR_MISS in record.flags
 
@@ -211,71 +214,92 @@ def test_json_adapter_bad_leaf_types(tmp_path: Path):
     path.write_text(json.dumps(JSON_DOC), encoding="utf-8")
     # ends at an object
     config = AdapterConfig("pars", "json", {"author": "meta.authors"})
-    with pytest.raises(PathTypeError):
-        parse_json_extraction(path, config, "author", KEY)
+    assert isinstance(_record(path, config, "author"), PathTypeError)
     # ends at null
     config = AdapterConfig("pars", "json", {"footer": "missing_leaf"})
-    with pytest.raises(PathTypeError):
-        parse_json_extraction(path, config, "footer", KEY)
+    assert isinstance(_record(path, config, "footer"), PathTypeError)
 
 
 def test_json_adapter_rejects_malformed(tmp_path: Path):
     path = tmp_path / "1401.0001_0.json"
     path.write_text("{broken", encoding="utf-8")
     config = AdapterConfig("pars", "json", {"title": "t"})
-    with pytest.raises(JsonParseError):
-        parse_json_extraction(path, config, "title", KEY)
+    assert isinstance(_record(path, config, "title"), JsonParseError)
+
+
+def test_json_adapter_empty_list_is_a_miss_blank_leaves_are_not(tmp_path: Path):
+    path = tmp_path / "1401.0001_0.json"
+    config = AdapterConfig("pars", "json", {"section": "sections"})
+    # an empty list has no leaf: the path matches nothing
+    path.write_text('{"sections": []}', encoding="utf-8")
+    assert _record(path, config, "section").flags == (SELECTOR_MISS,)
+    # blank leaves are matched items without tokens
+    path.write_text('{"sections": ["", " "]}', encoding="utf-8")
+    assert _record(path, config, "section") == ExtractionRecord("section", ())
+
+
+CSV_CONFIG = AdapterConfig("tab", "csv")
 
 
 def test_csv_adapter_flattens_row_major(tmp_path: Path):
     path = tmp_path / "1401.0001_0.csv"
     path.write_text('Model,Acc\nOurs,"0.91 est"\nBase,0.85\n', encoding="utf-8")
-    [record] = parse_table_csv(path, "tab", KEY)
+    record = _record(path, CSV_CONFIG, "table")
     assert record.label == "table"
     assert record.units == (("Model", "Acc"), ("Ours", "0.91", "est"),
                             ("Base", "0.85"))
     assert record.tokens == ("Model", "Acc", "Ours", "0.91", "est",
                              "Base", "0.85")
+    assert record.flags == ()
 
 
 def test_csv_adapter_skips_blank_rows(tmp_path: Path):
     path = tmp_path / "1401.0001_0.csv"
     path.write_text("a,b\n\n,,\nc,d\n", encoding="utf-8")
-    [record] = parse_table_csv(path)
+    record = _record(path, CSV_CONFIG, "table")
     assert record.units == (("a", "b"), ("c", "d"))
 
 
 def test_csv_adapter_rejects_unreadable(tmp_path: Path):
     path = tmp_path / "1401.0001_0.csv"
     path.write_text('a,"b\nnever closed', encoding="utf-8")
-    try:
-        parse_table_csv(path)
-    except CsvParseError:
-        pass  # acceptable: csv module versions differ on this input
+    record = _record(path, CSV_CONFIG, "table")
+    # csv module versions differ on this input: an error, or a record
+    assert isinstance(record, (CsvParseError, ExtractionRecord))
+
+
+def test_csv_adapter_gives_the_table_to_its_label_only(tmp_path: Path):
+    path = tmp_path / "1401.0001_0.csv"
+    path.write_text("a,b\nc,d\n", encoding="utf-8")
+    records = read_records(path, CSV_CONFIG, ["paragraph", "table", "title"])
+    assert records["table"] == ExtractionRecord("table", (("a", "b"), ("c", "d")))
+    for label in ("paragraph", "title"):
+        assert records[label] == ExtractionRecord(label, (), (SELECTOR_MISS,))
 
 
 TEXT_FILE = "Line one here\nLine two\nLine three\nLine four\nLine five\n"
+
+TEXT_CONFIG = AdapterConfig("plain", "text", {
+    "title": "1",
+    "paragraph": "2-4",
+    "reference": "5-",
+    "abstract": "*",
+})
 
 
 def test_text_adapter_line_rules(tmp_path: Path):
     path = tmp_path / "1401.0001_0.txt"
     path.write_text(TEXT_FILE, encoding="utf-8")
-    config = AdapterConfig("plain", "text", {
-        "title": "1",
-        "paragraph": "2-4",
-        "reference": "5-",
-        "abstract": "*",
-    })
-    [record] = parse_plaintext(path, config, "title", KEY)
+    record = _record(path, TEXT_CONFIG, "title")
     assert record.units == (("Line", "one", "here"),)
 
-    [record] = parse_plaintext(path, config, "paragraph", KEY)
+    record = _record(path, TEXT_CONFIG, "paragraph")
     assert record.units == (("Line", "two"), ("Line", "three"), ("Line", "four"))
 
-    [record] = parse_plaintext(path, config, "reference", KEY)
+    record = _record(path, TEXT_CONFIG, "reference")
     assert record.units == (("Line", "five"),)
 
-    [record] = parse_plaintext(path, config, "abstract", KEY)
+    record = _record(path, TEXT_CONFIG, "abstract")
     assert len(record.units) == 5
 
 
@@ -283,11 +307,11 @@ def test_text_adapter_range_beyond_eof(tmp_path: Path):
     path = tmp_path / "1401.0001_0.txt"
     path.write_text("only one line\n", encoding="utf-8")
     config = AdapterConfig("plain", "text", {"reference": "3-9", "title": "1-5"})
-    [record] = parse_plaintext(path, config, "reference", KEY)
+    record = _record(path, config, "reference")
     assert record.units == ()
     assert SELECTOR_MISS in record.flags
     # a rule that starts in range is clamped, not a miss
-    [record] = parse_plaintext(path, config, "title", KEY)
+    record = _record(path, config, "title")
     assert record.units == (("only", "one", "line"),)
     assert SELECTOR_MISS not in record.flags
 
@@ -296,7 +320,7 @@ def test_text_adapter_unmapped_label(tmp_path: Path):
     path = tmp_path / "1401.0001_0.txt"
     path.write_text(TEXT_FILE, encoding="utf-8")
     config = AdapterConfig("plain", "text", {"title": "1"})
-    [record] = parse_plaintext(path, config, "footer", KEY)
+    record = _record(path, config, "footer")
     assert record.units == ()
     assert SELECTOR_MISS in record.flags
 
@@ -307,16 +331,55 @@ def test_text_adapter_invalid_rules(tmp_path: Path):
     for rule in ("0", "4-2", "x", "1-2-3"):
         config = AdapterConfig("plain", "text", {"title": rule})
         with pytest.raises(ConfigError):
-            parse_plaintext(path, config, "title", KEY)
+            _record(path, config, "title")
 
 
 def test_lossy_decode_flag(tmp_path: Path):
     path = tmp_path / "1401.0001_0.txt"
     path.write_bytes(b"good line\nbad \xff byte\n")
     config = AdapterConfig("plain", "text", {"title": "*"})
-    [record] = parse_plaintext(path, config, "title", KEY)
+    record = _record(path, config, "title")
     assert LOSSY_DECODE in record.flags
     assert record.units[0] == ("good", "line")
+
+
+@pytest.mark.parametrize("config, name, text", (
+    (XML_CONFIG, "page.xml", TEI_LIKE),
+    (JSON_CONFIG, "page.json", json.dumps(JSON_DOC)),
+    (TEXT_CONFIG, "page.txt", TEXT_FILE),
+), ids=("xml", "json", "text"))
+def test_one_call_equals_single_label_calls(tmp_path: Path, config, name, text):
+    path = tmp_path / name
+    path.write_text(text, encoding="utf-8")
+    # every mapped label, one unmapped label, and a repeated label
+    labels = sorted(config.selector_map) + ["footnote", "title"]
+    assert len(config.selector_map) >= 3
+    records = read_records(path, config, labels)
+    assert list(records) == sorted(set(labels), key=labels.index)
+    for label in labels:
+        assert records[label] == _record(path, config, label)
+    assert SELECTOR_MISS in records["footnote"].flags
+
+
+def test_json_path_type_error_is_its_label_only(tmp_path: Path):
+    path = tmp_path / "1401.0001_0.json"
+    path.write_text(json.dumps(JSON_DOC), encoding="utf-8")
+    config = AdapterConfig("pars", "json", {"author": "meta.authors",
+                                            "title": "meta.title",
+                                            "section": "sections"})
+    records = read_records(path, config, ["author", "section", "title"])
+    assert isinstance(records["author"], PathTypeError)
+    assert records["section"].units == (("Intro",), ("Methods",))
+    assert records["title"].units == (("Deep", "Parsing"),)
+
+
+def test_parse_error_is_every_label_value(tmp_path: Path):
+    path = tmp_path / "1401.0001_0.xml"
+    path.write_text("<a><b></a>", encoding="utf-8")
+    records = read_records(path, XML_CONFIG, ["paragraph", "title", "table"])
+    assert len({id(error) for error in records.values()}) == 1
+    assert isinstance(records["title"], XmlParseError)
+    assert "1401.0001_0.xml" in str(records["title"])
 
 
 def test_restrict_units_keeps_covered_items():

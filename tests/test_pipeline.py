@@ -437,31 +437,82 @@ def _doc_scope_corpus(root: Path) -> dict:
                                       scope="document"))
 
 
-def test_document_scope_parses_once_per_document_and_label(tmp_path: Path,
-                                                           monkeypatch):
-    corpus = _doc_scope_corpus(tmp_path)
-    calls: Counter = Counter()
-    run_adapter = pipeline._run_adapter
+def test_each_output_file_is_read_once_in_both_scopes(golden_dir: Path,
+                                                      tmp_path: Path,
+                                                      monkeypatch):
+    runs = {
+        "page": (_golden_config(golden_dir, "partial"),
+                 {p.name for p in (golden_dir / "out" / "partial").iterdir()}),
+        "document": (RunConfig(**_doc_scope_corpus(tmp_path)),
+                     {f"2101.{d:05d}.json" for d in (0, 2, 3)}),
+    }
+    read = pipeline.read_records
+    for scope, (config, files) in runs.items():
+        calls: Counter = Counter()
 
-    def counted(path, adapter, label, key):
-        calls[(str(key), label)] += 1
-        return run_adapter(path, adapter, label, key)
+        def counted(path, adapter, labels):
+            calls[path.name] += 1
+            return read(path, adapter, labels)
 
-    journals = {}
-    for jobs in (1, 2, 3):
-        journal = tmp_path / f"jobs{jobs}.jsonl"
-        with monkeypatch.context() as patch:
-            if jobs == 1:
-                patch.setattr(pipeline, "_run_adapter", counted)
-            results = list(evaluate_run(RunConfig(parallelism=jobs, **corpus),
-                                        journal_path=journal))
-        journals[jobs] = journal.read_bytes()
-        if jobs == 1:
-            assert Counter(r.status for r in results) == {
-                STATUS_SCORED: 8, STATUS_MISSING: 4, STATUS_ERROR: 4}
-    assert journals[1] == journals[2] == journals[3]
-    assert calls == {(f"2101.{d:05d}", label): 1
-                     for d in (0, 2, 3) for label in ("paragraph", "title")}
+        journals = {}
+        for jobs in (1, 2, 3):
+            journal = tmp_path / f"{scope}{jobs}.jsonl"
+            # Patched at one job only: a pool forked now would keep the patch.
+            with monkeypatch.context() as patch:
+                if jobs == 1:
+                    patch.setattr(pipeline, "read_records", counted)
+                results = list(evaluate_run(
+                    dataclasses.replace(config, parallelism=jobs),
+                    journal_path=journal))
+            journals[jobs] = journal.read_bytes()
+        assert journals[1] == journals[2] == journals[3]
+        assert calls == Counter(files), scope
+    assert Counter(r.status for r in results) == {
+        STATUS_SCORED: 8, STATUS_MISSING: 4, STATUS_ERROR: 4}
+
+
+def _one_page_corpus(root: Path, tokens: dict[str, str]) -> Path:
+    """Ground truth for page 2101.00000_0: one token per label."""
+    gt_root = root / "gt"
+    gt_root.mkdir()
+    (gt_root / "2101.00000_0.txt").write_text("".join(
+        f"{text}\t0\t0\t1\t1\t0\t0\t0\tF\t{label}\n"
+        for label, text in tokens.items()), encoding="utf-8")
+    return gt_root
+
+
+def test_csv_output_scores_only_the_table_label(tmp_path: Path):
+    gt_root = _one_page_corpus(tmp_path, {"paragraph": "Intro", "table": "Acc"})
+    (tmp_path / "2101.00000_0.csv").write_text("Intro,Acc\n", encoding="utf-8")
+    config = RunConfig(output_root=tmp_path, gt_root=gt_root,
+                       adapter=AdapterConfig("tab", "csv"),
+                       labels=("paragraph", "table"))
+    paragraph, table = evaluate_run(config)
+    assert (paragraph.label, paragraph.status) == ("paragraph", STATUS_SCORED)
+    assert (paragraph.scores.precision, paragraph.scores.recall) == (0.0, 0.0)
+    assert paragraph.scores.m == 0
+    assert (table.scores.precision, table.scores.recall) == (0.5, 1.0)
+    record, _ = resolve_output(EvaluationUnit(paragraph.key, "paragraph",
+                                              ("Intro",)), config)
+    assert record.units == () and record.flags == ("SelectorMiss",)
+
+
+def test_unreadable_file_is_logged_once(tmp_path: Path, caplog):
+    labels = {"author": "Shiu", "paragraph": "Intro", "title": "Deep"}
+    gt_root = _one_page_corpus(tmp_path, labels)
+    (tmp_path / "2101.00000_0.json").write_text('{"title": "De',
+                                                encoding="utf-8")
+    config = RunConfig(output_root=tmp_path, gt_root=gt_root,
+                       adapter=AdapterConfig("js", "json",
+                                             {label: label for label in labels}),
+                       labels=tuple(labels))
+    journal = tmp_path / "run.jsonl"
+    with caplog.at_level(logging.WARNING, logger="docbench.pipeline"):
+        list(evaluate_run(config, journal_path=journal))
+    [warning] = caplog.records
+    assert "2101.00000_0.json" in warning.getMessage()
+    _, results = read_journal(journal)
+    assert [r.status for r in results] == [STATUS_ERROR] * 3
 
 
 def test_one_worker_run_loads_no_process_pool_modules(golden_dir: Path):
