@@ -16,7 +16,7 @@ from pathlib import Path
 from .corpus import (DEFAULT_KEY_PATTERN, DEFAULT_LABELS, index_corpus,
                      load_index, parse_gt_page, parse_page_key, save_index)
 from .errors import (AdapterError, ConfigError, DocbenchError, KeyParseError)
-from .interchange import (_EXTENSIONS, SELECTOR_MISS, AdapterConfig,
+from .interchange import (EXTENSIONS, SELECTOR_MISS, AdapterConfig,
                           load_adapter_config, read_records)
 from .metrics import MatchConfig
 from .pipeline import (HARNESS_NAME, HARNESS_VERSION, RunConfig, config_hash,
@@ -180,7 +180,7 @@ def _validate_tool_output(args: argparse.Namespace, findings: list[str]) -> None
     if not labels:
         findings.append(f"{args.adapter_config}: selector map is empty")
         return
-    for path in sorted(root.rglob("*" + _EXTENSIONS[adapter.format])):
+    for path in sorted(root.rglob("*" + EXTENSIONS[adapter.format])):
         for label, record in read_records(path, adapter, labels).items():
             if isinstance(record, AdapterError):
                 findings.append(f"{path}: {record}")

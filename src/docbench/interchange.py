@@ -43,7 +43,7 @@ SCOPES = ("page", "document")
 
 ADAPTER_FORMAT_VERSION = 1
 
-_EXTENSIONS = {"xml": ".xml", "json": ".json", "csv": ".csv", "text": ".txt"}
+EXTENSIONS = {"xml": ".xml", "json": ".json", "csv": ".csv", "text": ".txt"}
 
 
 def tokenize(text: str) -> tuple[str, ...]:
@@ -100,7 +100,7 @@ class AdapterConfig:
         """Where a scope unit's output file lives, relative to the output root."""
         if self.path_template:
             return self.path_template
-        ext = _EXTENSIONS[self.format]
+        ext = EXTENSIONS[self.format]
         if self.scope == "document":
             return "{doc}" + ext
         return "{doc}_{page}" + ext
@@ -217,17 +217,6 @@ def _line_items(lines: list[str], rule: str) -> list[str] | None:
     return [lines[n - 1] for n in _parse_line_rule(rule, len(lines))] or None
 
 
-# format -> (parse the decoded file, the exception that parse raises, the
-# AdapterError it becomes, a selector's item texts or None on a miss).
-# Splitting text into lines cannot fail, so it catches nothing.
-_READERS = {
-    "xml": (ET.fromstring, ET.ParseError, XmlParseError, _xml_items),
-    "json": (json.loads, json.JSONDecodeError, JsonParseError, _json_items),
-    "csv": (_csv_rows, csv.Error, CsvParseError, lambda rows, _: rows),
-    "text": (_text_lines, (), AdapterError, _line_items),
-}
-
-
 def read_records(
     path: str | Path,
     adapter: AdapterConfig,
@@ -249,12 +238,24 @@ def read_records(
         text, flags = data.decode("utf-8"), ()
     except UnicodeDecodeError:
         text, flags = data.decode("utf-8", errors="replace"), (LOSSY_DECODE,)
-    parse, parse_error, adapter_error, select = _READERS[adapter.format]
+    selectors = adapter.selector_map
     try:
-        tree = parse(text)
-    except parse_error as exc:
-        return dict.fromkeys(labels, adapter_error(f"{path.name}: {exc}"))
-    selectors = {"table": ""} if adapter.format == "csv" else adapter.selector_map
+        if adapter.format == "xml":
+            tree, select = ET.fromstring(text), _xml_items
+        elif adapter.format == "json":
+            tree, select = json.loads(text), _json_items
+        elif adapter.format == "csv":
+            # The table is the 'table' label's item set whatever it maps to.
+            tree, select = _csv_rows(text), lambda rows, _: rows
+            selectors = {"table": ""}
+        else:
+            tree, select = _text_lines(text), _line_items
+    except ET.ParseError as exc:
+        return dict.fromkeys(labels, XmlParseError(f"{path.name}: {exc}"))
+    except json.JSONDecodeError as exc:
+        return dict.fromkeys(labels, JsonParseError(f"{path.name}: {exc}"))
+    except csv.Error as exc:
+        return dict.fromkeys(labels, CsvParseError(f"{path.name}: {exc}"))
     records: dict[str, ExtractionRecord | AdapterError] = {}
     for label in labels:
         selector = selectors.get(label)

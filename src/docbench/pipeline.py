@@ -195,7 +195,9 @@ def resolve_output(
         records = read_records(path, adapter, config.labels)
         if cache is not None:
             cache[path] = records
-    record = records[unit.label]
+    record = records.get(unit.label)
+    if record is None:  # a label outside config.labels
+        record = read_records(path, adapter, [unit.label])[unit.label]
     if isinstance(record, AdapterError):
         if isinstance(record, PathTypeError):
             logger.warning("unreadable tool output for %s/%s: %s",

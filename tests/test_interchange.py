@@ -23,7 +23,7 @@ def _record(path: Path, config: AdapterConfig, label: str):
 def test_tokenize_unicode_whitespace():
     assert tokenize("a  b\tc\nd") == ("a", "b", "c", "d")
     assert tokenize("  leading trailing  ") == ("leading", "trailing")
-    assert tokenize("non breaking") == ("non", "breaking")
+    assert tokenize("non\u00a0breaking") == ("non", "breaking")
     assert tokenize("") == ()
     assert tokenize("   ") == ()
 

@@ -20,7 +20,8 @@ import docbench
 from docbench import pipeline
 from docbench.corpus import PageKey, index_corpus
 from docbench.errors import ConfigError
-from docbench.interchange import AdapterConfig, load_adapter_config
+from docbench.interchange import (SELECTOR_MISS, AdapterConfig,
+                                  load_adapter_config)
 from docbench.metrics import DocumentScores, MatchConfig
 from docbench.pipeline import (STATUS_ERROR, STATUS_MISSING, STATUS_SCORED,
                                EvaluationUnit, RunConfig, UnitResult,
@@ -134,6 +135,19 @@ def test_resolve_output_statuses(golden_dir: Path, tmp_path: Path):
     record, status = resolve_output(unit_absent, config)
     assert status == STATUS_MISSING
     assert record is None
+
+
+def test_resolve_output_label_outside_run_labels(golden_dir: Path):
+    config = _golden_config(golden_dir, "partial", labels=("abstract",))
+    title = EvaluationUnit(PageKey("1401.0001", 0), "title",
+                           ("Deep", "Unsupervised", "Parsing"))
+    cache: dict = {}
+    assert resolve_output(title, config, cache) == \
+        resolve_output(title, _golden_config(golden_dir, "partial"))
+    margin = EvaluationUnit(PageKey("1401.0001", 0), "margin", ("x",))
+    record, status = resolve_output(margin, config, cache)
+    assert status == STATUS_SCORED
+    assert record is not None and SELECTOR_MISS in record.flags
 
 
 def test_resolve_output_error_artifact(golden_dir: Path, tmp_path: Path):
