@@ -89,7 +89,6 @@ class ParseIssue:
 class GroundTruthPage:
     key: PageKey
     tokens: tuple[GroundTruthToken, ...]
-    source_path: Path | None = None
     issues: tuple[ParseIssue, ...] = ()
 
     @property
@@ -233,7 +232,7 @@ def parse_gt_page(
             continue
         tokens.append(token)
         issues.extend(warnings)
-    return GroundTruthPage(key, tuple(tokens), path, tuple(issues))
+    return GroundTruthPage(key, tuple(tokens), tuple(issues))
 
 
 @dataclass(frozen=True)

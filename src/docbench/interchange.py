@@ -228,8 +228,9 @@ def read_records(
     are dropped. A label with no selector, or whose selector finds nothing,
     gets an empty record flagged SELECTOR_MISS. A CSV file is the item set of
     the 'table' label alone, one item per row, and never a miss. A file that
-    does not parse gives its AdapterError for every label; a JSON path that
-    ends at an unusable value gives its PathTypeError for that label only.
+    does not parse gives its AdapterError for every label, and a JSON path
+    that ends at an unusable value its PathTypeError for that label only;
+    the caller names the file.
     A bad selector or line rule raises ConfigError.
     """
     path = Path(path)
@@ -250,12 +251,10 @@ def read_records(
             selectors = {"table": ""}
         else:
             tree, select = _text_lines(text), _line_items
-    except ET.ParseError as exc:
-        return dict.fromkeys(labels, XmlParseError(f"{path.name}: {exc}"))
-    except json.JSONDecodeError as exc:
-        return dict.fromkeys(labels, JsonParseError(f"{path.name}: {exc}"))
-    except csv.Error as exc:
-        return dict.fromkeys(labels, CsvParseError(f"{path.name}: {exc}"))
+    except (ET.ParseError, json.JSONDecodeError, csv.Error) as exc:
+        error = {"xml": XmlParseError, "json": JsonParseError,
+                 "csv": CsvParseError}[adapter.format]
+        return dict.fromkeys(labels, error(str(exc)))
     records: dict[str, ExtractionRecord | AdapterError] = {}
     for label in labels:
         selector = selectors.get(label)

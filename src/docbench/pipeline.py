@@ -5,9 +5,10 @@ A run walks the ground-truth index, plans one evaluation unit per
 tool output file, scores it, and appends one JSON line per unit to a journal.
 Reruns skip units already journalled, so an interrupted run resumes where it
 stopped. Unit order is deterministic (sorted by page key, then label) and
-independent of the worker count: with more than one worker, whole documents
-are scored in a pool of worker processes and the parent writes their results
-in unit order.
+independent of the worker count. The parent turns the index into page plans;
+with more than one worker, pool workers plan and score runs of whole
+documents, parsing their own ground-truth pages, and the parent writes their
+results in unit order.
 """
 
 from __future__ import annotations
@@ -18,9 +19,9 @@ import logging
 import os
 from collections import deque
 from dataclasses import dataclass, replace
-from itertools import groupby
+from itertools import chain, groupby
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping
+from typing import Container, Iterable, Iterator, Mapping
 
 from .corpus import (DEFAULT_KEY_PATTERN, DEFAULT_LABELS, CorpusIndex,
                      PageKey, index_corpus, parse_gt_page, sample_by_month,
@@ -69,7 +70,6 @@ class EvaluationUnit:
     key: PageKey
     label: str
     gt_tokens: tuple[str, ...]
-    gt_path: Path | None = None
 
 
 @dataclass(frozen=True)
@@ -108,60 +108,64 @@ def config_hash(config: RunConfig) -> str:
 
 
 UnitKey = tuple[str, int, str]
+PagePlan = tuple[PageKey, str, tuple[str, ...]]
 
 
-def _unit_key(item: EvaluationUnit | UnitResult) -> UnitKey:
-    return (item.key.document_id, item.key.page_index, item.label)
+def _unit_keys(key: PageKey, labels: Iterable[str]) -> list[UnitKey]:
+    return [(key.document_id, key.page_index, label) for label in labels]
 
 
-def plan_units(
-    index: CorpusIndex,
-    config: RunConfig,
-    done: Mapping[UnitKey, UnitResult] | None = None,
-) -> list[EvaluationUnit | UnitResult]:
-    """Every unit of the run, sorted by page key then label.
-
-    The unit population depends only on the ground truth, never on tool
-    output; a unit exists exactly when the page has tokens for the label.
-
-    With `done`, the journalled results of a resumed run, a page is not
-    parsed when every wanted label the index lists for it is in `done`:
-    those results stand in for its units, in label order. This is exact. A
-    unit needs a valid token line whose label field the index's label pass
-    also saw, so a page's units are a subset of its index labels, and once
-    all of those are journalled, parsing the page adds no pending unit. A
-    page with a pending label is parsed as in a fresh run; so is, on every
-    resume, a page whose lines for some indexed label are all malformed. If
-    the ground truth changed after the journal was written, a skipped page
-    yields the journal's lines, which are the lines `report` counts.
-    """
+def _page_plans(index: CorpusIndex, config: RunConfig) -> list[PagePlan]:
+    """(key, path, the wanted labels the index lists) per page, sorted."""
     wanted = sorted(set(config.labels))
     for label in wanted:
         if label not in index.vocabulary:
             logger.warning("label %r is outside the index vocabulary; "
                            "no units will be planned for it", label)
     presence = [(label, index.pages_with_label(label)) for label in wanted]
-    keys: set[PageKey] = set()
-    for _, pages in presence:
-        keys |= pages
+    keys = set().union(*(pages for _, pages in presence))
     if config.sample:
         keys &= sample_by_month(index, *config.sample)
-    units: list[EvaluationUnit | UnitResult] = []
-    for key in sorted(keys):
-        if done:
-            journalled = [done.get((key.document_id, key.page_index, label))
-                          for label, pages in presence if key in pages]
-            if all(result is not None for result in journalled):
-                units.extend(journalled)
-                continue
-        page = parse_gt_page(index.entries[key], index.vocabulary,
-                             config.key_pattern, strict=False,
-                             nfc=config.match.normalize_nfc)
-        for label in wanted:
+    return [(key, str(index.entries[key]),
+             tuple([label for label, pages in presence if key in pages]))
+            for key in sorted(keys)]
+
+
+def _plan_pages(pages: Iterable[PagePlan], config: RunConfig,
+                vocabulary: frozenset[str],
+                journalled: Container[UnitKey]) -> list[EvaluationUnit | UnitKey]:
+    """The units of these pages in order, a journalled one as its key. A unit
+    exists exactly when the page has tokens for the label.
+
+    A page is not parsed when every label its plan lists is journalled. This
+    is exact: a unit needs a valid token line whose label the index's label
+    pass also saw, so a page's units are a subset of its index labels. (A
+    page whose lines for some indexed label are all malformed is parsed on
+    every resume.) If the ground truth changed after the journal was
+    written, a skipped page yields the journal's lines, which `report` counts.
+    """
+    wanted = sorted(set(config.labels))
+    units: list[EvaluationUnit | UnitKey] = []
+    for key, path, labels in pages:
+        listed = _unit_keys(key, labels)
+        if all(unit in journalled for unit in listed):
+            units.extend(listed)
+            continue
+        page = parse_gt_page(path, vocabulary, config.key_pattern,
+                             strict=False, nfc=config.match.normalize_nfc)
+        for unit, label in zip(_unit_keys(key, wanted), wanted):
             gt_tokens = page.tokens_for_label(label)
             if gt_tokens:
-                units.append(EvaluationUnit(key, label, gt_tokens, page.source_path))
+                units.append(unit if unit in journalled
+                             else EvaluationUnit(key, label, gt_tokens))
     return units
+
+
+def plan_units(index: CorpusIndex, config: RunConfig,
+               done: Container[UnitKey] = ()) -> list[EvaluationUnit | UnitKey]:
+    """Every unit of the run, sorted by page key then label; a unit in `done`
+    stands as its key. evaluate_run plans inside its scoring tasks instead."""
+    return _plan_pages(_page_plans(index, config), config, index.vocabulary, done)
 
 
 def resolve_output(
@@ -219,24 +223,30 @@ def score_unit(unit: EvaluationUnit, config: RunConfig,
     return UnitResult(unit.key, unit.label, status, scores)
 
 
-def _score_document(units: list[EvaluationUnit],
-                    config: RunConfig) -> Iterator[UnitResult]:
-    """Score one document's units in order, with a cache of its own."""
-    cache: dict = {}
-    for unit in units:
+def _evaluate_pages(pages: list[PagePlan], config: RunConfig,
+                    vocabulary: frozenset[str], journalled: Container[UnitKey],
+                    ) -> Iterator[UnitResult | UnitKey]:
+    """Plan and score a run of pages: results in unit order, with the key of
+    each journalled unit standing in for it. Every page is planned before the
+    first result; each document's units share a tool-output cache."""
+    cache, document = {}, None
+    for unit in _plan_pages(pages, config, vocabulary, journalled):
+        if isinstance(unit, tuple):
+            yield unit
+            continue
+        if unit.key.document_id != document:
+            cache, document = {}, unit.key.document_id
         yield score_unit(unit, config, cache)
 
 
-def _score_batch(documents: list[list[EvaluationUnit]],
-                 config: RunConfig) -> list[UnitResult]:
-    """The task a pool worker runs: a run of whole documents."""
-    return [result for units in documents
-            for result in _score_document(units, config)]
+def _evaluate_task(*args) -> list[UnitResult | UnitKey]:
+    """The task a pool worker runs: _evaluate_pages over whole documents."""
+    return list(_evaluate_pages(*args))
 
 
 def worker_count(parallelism: int) -> int:
     """Worker processes for a run: at most the machine's CPU count."""
-    return min(parallelism, os.cpu_count() or 1)
+    return 1 if parallelism < 2 else min(parallelism, os.cpu_count() or 1)
 
 
 # Documents per pool task, at most. A task costs the pool a fixed ~0.4 ms of
@@ -257,7 +267,7 @@ def _worker_pool(workers: int):
 
     Its modules are imported here, so a run with one worker never loads
     them. Workers are forked: they inherit the imported modules, so a pool
-    starts in milliseconds, and only units, config and results are pickled.
+    starts in milliseconds; only page plans, config and results are pickled.
     They keep the modules as they were at the fork. They ignore SIGINT,
     which reaches the whole process group: the parent alone handles an
     interrupt, and workers finish their task and exit with the pool.
@@ -276,34 +286,39 @@ def _worker_pool(workers: int):
     return _pool[1]
 
 
-def _score_documents(documents: list[list[EvaluationUnit]],
-                     config: RunConfig) -> Iterator[UnitResult]:
-    """Results of every document's units, in order.
-
-    With one worker, or fewer than two documents, units are scored here one
-    at a time as they are asked for. Otherwise the documents are split into
-    runs of at most _TASK_DOCUMENTS, at least four per worker where there
-    are enough documents, and each run is one task of the shared pool. At
+def _evaluate_documents(pages: list[PagePlan], config: RunConfig,
+                        vocabulary: frozenset[str], done: Mapping[UnitKey, UnitResult],
+                        ) -> Iterator[UnitResult | UnitKey]:
+    """_evaluate_pages over every page: here with one worker or fewer than two
+    documents with a pending unit; else each run of at most _TASK_DOCUMENTS
+    documents (at least four pending ones per worker where there are enough)
+    is a pool task, sent the run's page plans and journalled unit keys. At
     most two tasks per worker are in flight; closing the generator cancels
-    the tasks that have not started. A pool that lost a worker raises
-    BrokenProcessPool once and is replaced on the next run.
-    """
+    those not started. A pool that lost a worker raises BrokenProcessPool
+    once and is replaced on the next run."""
     global _pool
     workers = worker_count(config.parallelism)
-    if workers < 2 or len(documents) < 2:
-        for units in documents:
-            yield from _score_document(units, config)
+    documents = [list(group) for _, group in groupby(
+        pages, key=lambda page: page[0].document_id)] if workers > 1 else []
+    pending = sum(not all(unit in done for key, _, labels in document
+                          for unit in _unit_keys(key, labels))
+                  for document in documents)
+    if pending < 2:
+        yield from _evaluate_pages(pages, config, vocabulary, done)
         return
     from concurrent.futures.process import BrokenProcessPool
-    size = min(_TASK_DOCUMENTS, -(-len(documents) // (4 * workers)))
+    size = min(_TASK_DOCUMENTS, -(-pending // (4 * workers)))
     pool = _worker_pool(workers)
     in_flight: deque = deque()
     try:
         for start in range(0, len(documents), size):
             if len(in_flight) == 2 * workers:
                 yield from in_flight.popleft().result()
-            in_flight.append(pool.submit(
-                _score_batch, documents[start:start + size], config))
+            run = list(chain.from_iterable(documents[start:start + size]))
+            journalled = {unit for key, _, _ in run
+                          for unit in _unit_keys(key, config.labels) if unit in done}
+            in_flight.append(pool.submit(_evaluate_task, run, config,
+                                         vocabulary, journalled))
         while in_flight:
             yield from in_flight.popleft().result()
     except BrokenProcessPool:
@@ -384,7 +399,7 @@ def read_journal(path: str | Path) -> tuple[dict | None, list[UnitResult]]:
             except (KeyError, TypeError, ValueError):
                 logger.warning("skipping malformed journal line %d", line_no)
                 continue
-            unit = _unit_key(result)
+            unit = (result.key.document_id, result.key.page_index, result.label)
             if unit in results:
                 logger.warning("skipping repeated unit %s/%s on journal line %d",
                                result.key, result.label, line_no)
@@ -421,11 +436,11 @@ def evaluate_run(
 ) -> Iterator[UnitResult]:
     """Score every planned unit, yielding results in deterministic unit order.
 
-    With a journal path, previously journalled units are not recomputed and
-    new results are appended as they complete; the yielded stream always
-    covers all units. The journal is read before planning, so a resume
-    parses only the ground-truth pages that still have a pending unit (see
-    plan_units). Worker count changes neither results nor bytes.
+    With a journal path, journalled units are not recomputed and new results
+    are appended as they complete; the stream always covers all units. Only
+    pages with a pending unit are parsed, where they are scored: with one
+    worker here, all before the first result; with more, each worker parses
+    its own documents. Worker count changes neither results nor bytes.
     """
     if index is None:
         if config.gt_root is None:
@@ -450,41 +465,28 @@ def evaluate_run(
                     f"journal {journal_path} was written with config "
                     f"{header.get('config')!r}, current config is "
                     f"{expected_hash!r}")
-        for result in previous:
-            done[_unit_key(result)] = result
+        done = {(r.key.document_id, r.key.page_index, r.label): r for r in previous}
+        # A new journal, or one cut before its first unit line, is rewritten.
+        journal_file = open(journal_path, "a" if header else "w", encoding="utf-8")
         if header is None:
-            # A new journal, or one cut before its first unit line.
-            journal_file = open(journal_path, "w", encoding="utf-8")
             journal_file.write(journal_header(config) + "\n")
             journal_file.flush()
-        else:
-            journal_file = open(journal_path, "a", encoding="utf-8")
 
-    units = plan_units(index, config, done)
-    pending = [u for u in units if _unit_key(u) not in done]
-    # Units are sorted by page key, so each document's units are contiguous.
-    documents = [list(group) for _, group in
-                 groupby(pending, key=lambda u: u.key.document_id)]
-    fresh = _score_documents(documents, config)
+    results = _evaluate_documents(_page_plans(index, config), config,
+                                  index.vocabulary, done)
     try:
-        yield from _merge(units, done, fresh, journal_file)
+        for result in results:
+            if isinstance(result, tuple):
+                yield done[result]
+                continue
+            if journal_file is not None:
+                journal_file.write(unit_result_to_line(result) + "\n")
+                journal_file.flush()
+            yield result
     finally:
-        fresh.close()
+        results.close()
         if journal_file is not None:
             journal_file.close()
-
-
-def _merge(units, done, fresh, journal_file) -> Iterator[UnitResult]:
-    for unit in units:
-        key = _unit_key(unit)
-        if key in done:
-            yield done[key]
-            continue
-        result = next(fresh)
-        if journal_file is not None:
-            journal_file.write(unit_result_to_line(result) + "\n")
-            journal_file.flush()
-        yield result
 
 
 def zero_score_labels(results: Iterable[UnitResult]) -> frozenset[str]:

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -204,6 +205,40 @@ def test_eval_via_prebuilt_index(golden_dir: Path, tmp_path: Path):
     assert journal.read_bytes() == expected
 
 
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_eval_with_a_ground_truth_page_gone(golden_dir: Path, tmp_path: Path,
+                                            jobs: str):
+    gt_root = tmp_path / "gt"
+    shutil.copytree(golden_dir / "gt", gt_root)
+    index = tmp_path / "index.json"
+    assert _run("index", "--gt-root", str(gt_root),
+                "--out", str(index)).returncode == 0
+    page = gt_root / "9.tar_1403.0777.gz_gamma_2.txt"
+    saved = page.read_bytes()
+    page.unlink()
+    journal = tmp_path / "partial.jsonl"
+    args = ["eval", "--index", str(index),
+            "--tool-output", str(golden_dir / "out" / "partial"),
+            "--adapter-config", str(golden_dir / "adapters" / "partial.json"),
+            "--journal", str(journal), "--labels", GOLDEN_LABEL_ARG,
+            "--jobs", jobs]
+    proc = _run(*args)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    [error] = [line for line in proc.stderr.splitlines()
+               if line.startswith("[ERROR]")]
+    assert page.name in error
+    # One worker plans every page before the first result. Two plan their
+    # own documents, so the first two documents' results are journalled
+    # before the third document's error reaches the parent.
+    inline = jobs == "1" or (os.cpu_count() or 1) < 2
+    assert len(journal.read_bytes().splitlines()) == (1 if inline else 7)
+    page.write_bytes(saved)
+    assert _run(*args).returncode == 0
+    expected = (golden_dir / "expected" / "partial.jsonl").read_bytes()
+    assert journal.read_bytes() == expected
+
+
 @pytest.mark.parametrize("tool", ["null", "partial"])
 def test_report_reproduces_expected_csv(golden_dir: Path, tmp_path: Path,
                                         tool: str):
@@ -336,3 +371,28 @@ def test_validate_tool_output_needs_adapter(golden_dir: Path):
 def test_validate_requires_exactly_one_target():
     proc = _run("validate")
     assert proc.returncode == 2
+
+
+def test_corrupt_tool_output_is_named_once(golden_dir: Path, tmp_path: Path):
+    out = tmp_path / "out"
+    out.mkdir()
+    corrupt = out / "1401.0001_0.json"
+    corrupt.write_text('{"title": "De', encoding="utf-8")
+    adapter = tmp_path / "json.json"
+    adapter.write_text(json.dumps({
+        "tool": "js", "format": "json", "selectors": {"title": "title"},
+    }), encoding="utf-8")
+    proc = _run("validate", "--tool-output", str(out),
+                "--adapter-config", str(adapter))
+    assert proc.returncode == 3
+    [finding] = [line for line in proc.stdout.splitlines()
+                 if line.startswith("[FINDING]")]
+    assert finding.count(corrupt.name) == 1
+
+    proc = _run("eval", "--gt-root", str(golden_dir / "gt"),
+                "--tool-output", str(out), "--adapter-config", str(adapter),
+                "--journal", str(tmp_path / "js.jsonl"), "--labels", "title")
+    assert proc.returncode == 0, proc.stderr
+    [warning] = [line for line in proc.stderr.splitlines()
+                 if "unreadable tool output" in line]
+    assert warning.count(corrupt.name) == 1

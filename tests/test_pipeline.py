@@ -13,6 +13,7 @@ from collections import Counter
 from concurrent.futures.process import BrokenProcessPool
 from multiprocessing.connection import wait
 from pathlib import Path
+from typing import Callable
 
 import pytest
 
@@ -336,18 +337,40 @@ def test_resume_from_every_cut_offset_gives_the_clean_bytes(golden_dir: Path,
     assert bad == []
 
 
-def _count_gt_parses(monkeypatch) -> list[str]:
-    """Page keys of every ground-truth page planning parses, in order."""
-    parsed: list[str] = []
-    parse = pipeline.parse_gt_page
+def _shut_pool() -> None:
+    if pipeline._pool is not None:
+        pipeline._pool[1].shutdown()
+        pipeline._pool = None
 
-    def counted(*args, **kwargs):
-        page = parse(*args, **kwargs)
-        parsed.append(str(page.key))
-        return page
 
-    monkeypatch.setattr(pipeline, "parse_gt_page", counted)
-    return parsed
+@pytest.fixture
+def count_gt_parses(monkeypatch, tmp_path: Path):
+    """Returns start(): from then on, every ground-truth page parsed is
+    counted, in this process or in a pool worker, and start() returns a
+    reader of the page keys in the order their parses ended.
+
+    The keys go to a file, which workers can append to. start() shuts the
+    pool down, so the next parallel run forks one under the patch; the pool
+    is shut down again after the test, so no later test inherits it.
+    """
+    record = tmp_path / "parsed.txt"
+
+    def start() -> Callable[[], list[str]]:
+        _shut_pool()
+        record.write_text("", encoding="utf-8")
+        parse = pipeline.parse_gt_page
+
+        def counted(*args, **kwargs):
+            page = parse(*args, **kwargs)
+            with open(record, "a", encoding="utf-8") as handle:
+                handle.write(f"{page.key}\n")
+            return page
+
+        monkeypatch.setattr(pipeline, "parse_gt_page", counted)
+        return lambda: record.read_text(encoding="utf-8").split()
+
+    yield start
+    _shut_pool()
 
 
 def _lines(results) -> list[str]:
@@ -356,18 +379,21 @@ def _lines(results) -> list[str]:
 
 @pytest.mark.parametrize("jobs", (1, 2))
 def test_fresh_run_parses_every_planned_page_once(golden_dir: Path,
-                                                  monkeypatch, jobs: int):
-    parsed = _count_gt_parses(monkeypatch)
+                                                  count_gt_parses, jobs: int):
+    parsed = count_gt_parses()
     list(evaluate_run(_golden_config(golden_dir, "partial", parallelism=jobs)))
-    assert parsed == ["1401.0001:0", "1401.0001:1", "1402.0042:0",
-                      "1403.0777:0", "1403.0777:2"]
+    # Two workers parse their documents at the same time, in no set order.
+    keys = parsed() if jobs == 1 else sorted(parsed())
+    assert keys == ["1401.0001:0", "1401.0001:1", "1402.0042:0",
+                    "1403.0777:0", "1403.0777:2"]
 
 
 @pytest.mark.parametrize("jobs", (1, 2))
 @pytest.mark.parametrize("dropped", ((), ("1402.0042:0",), ("1403.0777:2",)))
 def test_resume_parses_only_the_pages_with_pending_units(golden_dir: Path,
                                                          tmp_path: Path,
-                                                         monkeypatch, jobs: int,
+                                                         count_gt_parses,
+                                                         jobs: int,
                                                          dropped: tuple):
     golden = (golden_dir / "expected" / "partial.jsonl").read_bytes()
     header, *lines = golden.splitlines(keepends=True)
@@ -378,15 +404,38 @@ def test_resume_parses_only_the_pages_with_pending_units(golden_dir: Path,
     journal.write_bytes(header + b"".join(kept))
     config = _golden_config(golden_dir, "partial", parallelism=jobs)
     clean = list(evaluate_run(config))
-    parsed = _count_gt_parses(monkeypatch)
+    parsed = count_gt_parses()
     results = list(evaluate_run(config, journal_path=journal))
-    assert parsed == list(dropped)
+    assert parsed() == list(dropped)
     assert _lines(results) == _lines(clean)
     # The missing lines are appended: with none missing, or only the last
     # page's, the journal equals the clean run's.
     assert journal.read_bytes() == header + b"".join(kept + on_pages)
     if dropped in ((), ("1403.0777:2",)):
         assert journal.read_bytes() == golden
+
+
+@pytest.mark.skipif(worker_count(2) < 2, reason="a worker pool needs 2 CPUs")
+def test_parent_parses_no_ground_truth_at_two_jobs(golden_dir: Path,
+                                                   tmp_path: Path,
+                                                   monkeypatch):
+    config = _golden_config(golden_dir, "partial", parallelism=2)
+    list(evaluate_run(config))  # the pool forks here, before the patch
+    parsed = []
+    parse = pipeline.parse_gt_page
+
+    def counted(*args, **kwargs):
+        parsed.append(args[0])
+        return parse(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "parse_gt_page", counted)
+    two, one = tmp_path / "jobs2.jsonl", tmp_path / "jobs1.jsonl"
+    list(evaluate_run(config, journal_path=two))
+    assert parsed == []
+    list(evaluate_run(dataclasses.replace(config, parallelism=1),
+                      journal_path=one))
+    assert len(parsed) == 5
+    assert two.read_bytes() == one.read_bytes()
 
 
 def test_read_journal_skips_a_line_cut_inside_a_character(golden_dir: Path,
