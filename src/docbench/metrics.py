@@ -18,7 +18,7 @@ from __future__ import annotations
 import unicodedata
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -66,14 +66,13 @@ class SimilarityMatrix:
         return self.values.shape[1]
 
 
-@dataclass(frozen=True)
-class DocumentScores:
+class DocumentScores(NamedTuple):
+    """The scores of one unit; a tuple, so a journal builds one cheaply."""
+
     precision: float
     recall: float
     f1: float
     accuracy: float
-    matched_extracted: int
-    matched_gt: int
     m: int
     n: int
     flags: tuple[str, ...] = ()
@@ -274,8 +273,6 @@ def score_document(
         recall=r,
         f1=f1(p, r),
         accuracy=acc,
-        matched_extracted=rows,
-        matched_gt=cols,
         m=matrix.m,
         n=matrix.n,
         flags=tuple(flags),

@@ -21,7 +21,7 @@ from collections import deque
 from dataclasses import dataclass, replace
 from itertools import chain, groupby
 from pathlib import Path
-from typing import Container, Iterable, Iterator, Mapping
+from typing import Container, Iterable, Iterator, Mapping, NamedTuple
 
 from .corpus import (DEFAULT_KEY_PATTERN, DEFAULT_LABELS, CorpusIndex,
                      PageKey, index_corpus, parse_gt_page, sample_by_month,
@@ -72,8 +72,7 @@ class EvaluationUnit:
     gt_tokens: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class UnitResult:
+class UnitResult(NamedTuple):
     key: PageKey
     label: str
     status: str
@@ -344,26 +343,6 @@ def unit_result_to_line(result: UnitResult) -> str:
         ))
 
 
-def _result_from_payload(payload: dict) -> UnitResult:
-    m = int(payload["m"])
-    n = int(payload["n"])
-    p = float(payload["p"])
-    r = float(payload["r"])
-    scores = DocumentScores(
-        precision=p,
-        recall=r,
-        f1=float(payload["f1"]),
-        accuracy=float(payload["acc"]),
-        # journal lines do not store match counts; reconstruct them
-        matched_extracted=round(p * m),
-        matched_gt=round(r * n),
-        m=m,
-        n=n,
-    )
-    return UnitResult(PageKey(payload["doc"], int(payload["page"])),
-                      payload["label"], payload["status"], scores)
-
-
 def journal_header(config: RunConfig) -> str:
     return json.dumps({
         "kind": "header",
@@ -375,36 +354,67 @@ def journal_header(config: RunConfig) -> str:
     }, ensure_ascii=False, separators=(",", ":"))
 
 
+# On a stripped line, raw_decode with its end at the line's end accepts and
+# rejects exactly what json.loads does, without json.loads' extra calls.
+_decode = json.JSONDecoder().raw_decode
+
+
 def read_journal(path: str | Path) -> tuple[dict | None, list[UnitResult]]:
     """Parse a journal; returns (header or None, results in file order).
 
     A line that is not a complete unit record is skipped with a warning, and
     so is a repeat of a unit already read: the first line of a unit counts.
     Each line is decoded on its own, so a line cut inside a multi-byte
-    character is one malformed line.
+    character is one malformed line. The first header counts; a later one
+    with another config raises ConfigError, and a repeat of it is skipped
+    with a warning. The units of a page share one PageKey.
     """
-    header = None
+    header, header_line = None, 0
     results: dict[UnitKey, UnitResult] = {}
+    keys: dict[tuple[str, int], PageKey] = {}
+    names: dict[str, str] = {}  # one copy of each label and status
     with open(path, "rb") as handle:
         for line_no, line in enumerate(handle, start=1):
             line = line.strip()
             if not line:
                 continue
             try:
-                payload = json.loads(line.decode("utf-8"))
+                text = line.decode("utf-8")
+                payload, end = _decode(text)
+                if end != len(text):
+                    raise ValueError("extra data")
                 if isinstance(payload, dict) and payload.get("kind") == "header":
-                    header = payload
+                    if header is None:
+                        header, header_line = payload, line_no
+                    elif payload.get("config") != header.get("config"):
+                        raise ConfigError(
+                            f"journal {path} line {line_no} is a header with "
+                            f"config {payload.get('config')!r}, but its header "
+                            f"on line {header_line} has config "
+                            f"{header.get('config')!r}")
+                    else:
+                        logger.warning("skipping repeated header on journal "
+                                       "line %d", line_no)
                     continue
-                result = _result_from_payload(payload)
+                scores = DocumentScores(
+                    float(payload["p"]), float(payload["r"]),
+                    float(payload["f1"]), float(payload["acc"]),
+                    int(payload["m"]), int(payload["n"]))
+                page = (payload["doc"], int(payload["page"]))
+                key = keys.get(page)
+                if key is None:
+                    key = keys[page] = PageKey(*page)
+                label = names.setdefault(payload["label"], payload["label"])
+                status = names.setdefault(payload["status"], payload["status"])
             except (KeyError, TypeError, ValueError):
                 logger.warning("skipping malformed journal line %d", line_no)
                 continue
-            unit = (result.key.document_id, result.key.page_index, result.label)
+            unit = (*page, label)
             if unit in results:
                 logger.warning("skipping repeated unit %s/%s on journal line %d",
-                               result.key, result.label, line_no)
+                               key, label, line_no)
                 continue
-            results[unit] = result
+            results[unit] = UnitResult(key, label, status, scores)
     return header, list(results.values())
 
 
@@ -476,7 +486,7 @@ def evaluate_run(
                                   index.vocabulary, done)
     try:
         for result in results:
-            if isinstance(result, tuple):
+            if not isinstance(result, UnitResult):  # a journalled unit's key
                 yield done[result]
                 continue
             if journal_file is not None:

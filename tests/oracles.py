@@ -7,6 +7,7 @@ of dual-route checks, so they cannot share code with the paths they verify.
 
 from __future__ import annotations
 
+import json
 import unicodedata
 
 
@@ -121,3 +122,57 @@ def prf_bruteforce(matrix: list[list[float]], threshold: float) -> tuple[float, 
 
 def accuracy_reference(extracted: list[str], gt: list[str], substitution_cost: int = 2) -> float:
     return ratio_reference(" ".join(extracted), " ".join(gt), substitution_cost)
+
+
+def journal_reference(path) -> tuple:
+    """A journal read line by line with json.loads: (header, records,
+    warnings).
+
+    Blank lines are skipped. The first header counts; a later header with
+    another config raises ValueError, and a repeat of it is one "repeated
+    header" warning. A unit record has doc, page, label, status, p, r, f1,
+    acc, m and n: page, m and n pass int(), the scores float(), doc must be
+    truthy, page >= 0, and doc, label and status hashable. Any other line is
+    one "malformed" warning, and a record whose (doc, page, label) was
+    already read is one "repeated unit" warning. records are
+    (doc, page, label, status, p, r, f1, acc, m, n) tuples in file order.
+    """
+    header = None
+    records = {}
+    warnings = {"malformed": 0, "repeated unit": 0, "repeated header": 0}
+    with open(path, "rb") as handle:
+        lines = handle.read().split(b"\n")
+    for raw in lines:
+        line = raw.strip()
+        if not line:
+            continue
+        try:
+            payload = json.loads(line.decode("utf-8"))
+        except ValueError:
+            warnings["malformed"] += 1
+            continue
+        if isinstance(payload, dict) and payload.get("kind") == "header":
+            if header is None:
+                header = payload
+            elif payload.get("config") != header.get("config"):
+                raise ValueError("a second header with another config")
+            else:
+                warnings["repeated header"] += 1
+            continue
+        try:
+            record = (payload["doc"], int(payload["page"]), payload["label"],
+                      payload["status"], float(payload["p"]),
+                      float(payload["r"]), float(payload["f1"]),
+                      float(payload["acc"]), int(payload["m"]),
+                      int(payload["n"]))
+            hash(record[:4])
+            if not record[0] or record[1] < 0:
+                raise ValueError("empty doc or negative page")
+        except (KeyError, TypeError, ValueError):
+            warnings["malformed"] += 1
+            continue
+        if record[:3] in records:
+            warnings["repeated unit"] += 1
+            continue
+        records[record[:3]] = record
+    return header, list(records.values()), warnings

@@ -120,8 +120,7 @@ def test_criterion_4_oracle_equivalence(capsys):
         for i in range(1000):
             value = round(rng.random(), 4) if rng.random() > 0.3 else 0.0
             scores = DocumentScores(precision=value, recall=value, f1=value,
-                                    accuracy=value, matched_extracted=0,
-                                    matched_gt=0, m=1, n=1)
+                                    accuracy=value, m=1, n=1)
             results.append(UnitResult(PageKey("1401.0001", i),
                                       rng.choice(labels), "scored", scores))
         rows = aggregate(results, tool="t")

@@ -180,6 +180,37 @@ def test_eval_rejects_headerless_journal(golden_dir: Path, tmp_path: Path):
     assert "no header" in proc.stderr
 
 
+def _two_config_journal(golden_dir: Path, journal: Path) -> bytes:
+    """A journal whose first header carries another config, two unit lines,
+    then the current header (line 4) and two more unit lines."""
+    golden = (golden_dir / "expected" / "partial.jsonl").read_bytes()
+    header, *lines = golden.splitlines(keepends=True)
+    other = json.dumps(dict(json.loads(header), config="aaaaaaaaaaaa"),
+                       separators=(",", ":")).encode() + b"\n"
+    data = other + b"".join(lines[:2]) + header + b"".join(lines[2:4])
+    journal.write_bytes(data)
+    return data
+
+
+def test_journal_with_two_configs_is_refused(golden_dir: Path,
+                                             tmp_path: Path):
+    journal = tmp_path / "partial.jsonl"
+    data = _two_config_journal(golden_dir, journal)
+    commands = {
+        "eval": _eval_args(golden_dir, "partial", journal),
+        "report": ["report", "--journal", str(journal)],
+        "chart": ["chart", "--journal", str(journal), "--metric", "f1",
+                  "--out", str(tmp_path / "f1.svg")],
+    }
+    for name, argv in commands.items():
+        proc = _run(*argv)
+        assert proc.returncode == 2, name
+        assert "Traceback" not in proc.stderr
+        assert "line 4" in proc.stderr and "aaaaaaaaaaaa" in proc.stderr, name
+    assert journal.read_bytes() == data
+    assert not (tmp_path / "f1.svg").exists()
+
+
 def test_eval_parallel_bytes_match(golden_dir: Path, tmp_path: Path):
     seq = tmp_path / "seq.jsonl"
     par = tmp_path / "par.jsonl"

@@ -253,8 +253,8 @@ def test_score_document_flags_and_counts():
 
     scores = score_document(RecordLike(), ["alpha", "beta"])
     assert scores.f1 == 1.0
-    assert scores.matched_extracted == 2
-    assert scores.matched_gt == 2
+    assert scores.precision * scores.m == 2
+    assert scores.recall * scores.n == 2
 
 
 def test_scores_stay_in_unit_interval():

@@ -2,13 +2,17 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
+import gc
 import json
 import logging
 import multiprocessing
 import os
+import pickle
+import random
 import signal
 import subprocess
 import sys
+import tracemalloc
 from collections import Counter
 from concurrent.futures.process import BrokenProcessPool
 from multiprocessing.connection import wait
@@ -31,6 +35,7 @@ from docbench.pipeline import (STATUS_ERROR, STATUS_MISSING, STATUS_SCORED,
                                score_unit, unit_result_to_line,
                                worker_count, zero_score_labels)
 from docbench.report import aggregate, all_task_summaries, emit_report
+from oracles import journal_reference
 
 GOLDEN_LABELS = ("abstract", "author", "paragraph", "reference",
                  "section", "table", "title")
@@ -207,8 +212,7 @@ def test_document_scope_restricts_to_page(golden_dir: Path, tmp_path: Path):
 
 def test_unit_result_line_shape_and_rounding():
     scores = DocumentScores(precision=0.0078125, recall=1.0 / 3.0, f1=0.2,
-                            accuracy=0.9999995, matched_extracted=1,
-                            matched_gt=1, m=128, n=3)
+                            accuracy=0.9999995, m=128, n=3)
     result = UnitResult(PageKey("1401.0001", 2), "table", STATUS_SCORED, scores)
     line = unit_result_to_line(result)
     payload = json.loads(line)
@@ -455,6 +459,194 @@ def test_read_journal_skips_a_line_cut_inside_a_character(golden_dir: Path,
             _, results = read_journal(journal)
         assert [r.key.document_id for r in results] == [doc]
         assert "malformed journal line 3" in caplog.text
+
+
+# A document id of Arabic-Indic digits, two UTF-8 bytes each, which the
+# default key pattern's \d accepts: cutting its line at every offset cuts
+# inside a character too.
+_WIDE_DOC = "\u0662\u0661\u0660\u0661.\u0660\u0660\u0660\u0660\u0661"
+
+
+def _line_variants(line: bytes) -> list[bytes]:
+    """Malformed, odd and still valid versions of one unit line."""
+    payload = json.loads(line)
+    variants = [line[:cut] for cut in range(len(line))]
+    variants += [b"\xef\xbb\xbf" + line, b"\x0c" + line + b"\x0c",
+                 line + b"x", line + b"{}", b"{}{}", b"\xff" + line,
+                 line.replace(b'"', b'"\xff', 1), line[:8] + b"\xc3" + line[8:],
+                 b"[1, 2]", b'"line"', b"3", b"null", b"true", b"NaN", b"{}"]
+    variants += [json.dumps({k: v for k, v in payload.items() if k != field})
+                 .encode() for field in payload]
+    changes = [("m", "5"), ("m", True), ("m", 2.5), ("m", float("nan")),
+               ("p", "0.5"), ("p", False), ("p", float("nan")),
+               ("f1", "NaN"), ("acc", float("inf")), ("r", None),
+               ("page", "1"), ("page", True), ("page", 1.5), ("page", -1),
+               ("page", "x"), ("doc", ""), ("doc", 7), ("doc", None),
+               ("doc", ["x"]), ("label", ["x"]), ("status", {}),
+               ("status", 3), ("label", "title"), ("page", 2)]
+    variants += [json.dumps(dict(payload, **{field: value})).encode()
+                 for field, value in changes]
+    return variants
+
+
+def _read_like_the_oracle(journal: Path, caplog) -> tuple:
+    """read_journal's (header, records, warning counts) in journal_reference's
+    shape; records as reprs, so NaN scores compare."""
+    caplog.clear()
+    with caplog.at_level(logging.WARNING, logger="docbench.pipeline"):
+        header, results = read_journal(journal)
+    warnings = {"malformed": 0, "repeated unit": 0, "repeated header": 0}
+    for record in caplog.records:
+        [kind] = [kind for kind in warnings if kind in record.getMessage()]
+        warnings[kind] += 1
+    return header, [repr((r.key.document_id, r.key.page_index, r.label,
+                          r.status, r.scores.precision, r.scores.recall,
+                          r.scores.f1, r.scores.accuracy, r.scores.m,
+                          r.scores.n)) for r in results], warnings
+
+
+def test_read_journal_agrees_with_the_reference_reader(golden_dir: Path,
+                                                       tmp_path: Path,
+                                                       caplog):
+    golden = (golden_dir / "expected" / "partial.jsonl").read_bytes()
+    header, *lines = golden.splitlines(keepends=True)
+    wide = dict(json.loads(lines[3]), doc=_WIDE_DOC)
+    lines[3] = json.dumps(wide, ensure_ascii=False).encode("utf-8") + b"\n"
+    other = dict(json.loads(header), config="aaaaaaaaaaaa")
+    other_header = json.dumps(other).encode() + b"\n"
+    journal = tmp_path / "fuzz.jsonl"
+    variants = [_line_variants(line.rstrip(b"\n")) for line in lines]
+    # Every variant of the wide line, in its place.
+    journals = [header + b"".join(lines[:3]) + variant + b"\n"
+                + b"".join(lines[4:]) for variant in variants[3]]
+    # Seeded mixes: variants of any lines, repeated units and headers.
+    rng = random.Random(20231018)
+    for _ in range(300):
+        mixed = [header, *lines]
+        for _ in range(rng.randint(1, 5)):
+            at = rng.randrange(1, len(mixed) + 1)
+            kind = rng.randrange(6)
+            if kind < 3:
+                mixed.insert(at, rng.choice(rng.choice(variants)) + b"\n")
+            elif kind == 3:
+                mixed.insert(at, rng.choice(lines))
+            elif kind == 4:
+                mixed.insert(at, rng.choice((header, b"\n", b"  \r\n")))
+            elif at < len(mixed):
+                del mixed[at]
+        if rng.random() < 0.05:
+            mixed.insert(rng.randrange(1, len(mixed) + 1), other_header)
+        journals.append(b"".join(mixed))
+    refused = 0
+    for data in journals:
+        journal.write_bytes(data)
+        try:
+            expected, records, warnings = journal_reference(journal)
+        except ValueError:
+            refused += 1
+            with pytest.raises(ConfigError, match="aaaaaaaaaaaa"):
+                read_journal(journal)
+            continue
+        assert _read_like_the_oracle(journal, caplog) \
+            == (expected, [repr(record) for record in records], warnings), data
+    assert 0 < refused < len(journals) // 10
+
+
+def test_read_journal_refuses_a_second_header_with_another_config(
+        golden_dir: Path, tmp_path: Path):
+    golden = (golden_dir / "expected" / "partial.jsonl").read_bytes()
+    header, *lines = golden.splitlines(keepends=True)
+    other = json.dumps(dict(json.loads(header), config="aaaaaaaaaaaa"),
+                       separators=(",", ":")).encode() + b"\n"
+    journal = tmp_path / "partial.jsonl"
+    mixed = other + b"".join(lines[:2]) + header + b"".join(lines[2:4])
+    journal.write_bytes(mixed)
+    with pytest.raises(ConfigError, match="line 4 .*'40a363383a7b'.*"
+                                          "line 1 .*'aaaaaaaaaaaa'"):
+        read_journal(journal)
+    with pytest.raises(ConfigError, match="line 4"):
+        list(evaluate_run(_golden_config(golden_dir, "partial"),
+                          journal_path=journal))
+    assert journal.read_bytes() == mixed
+
+
+def test_read_journal_skips_a_repeated_header(golden_dir: Path,
+                                              tmp_path: Path, caplog):
+    golden = golden_dir / "expected" / "partial.jsonl"
+    header, *lines = golden.read_bytes().splitlines(keepends=True)
+    journal = tmp_path / "partial.jsonl"
+    journal.write_bytes(header + b"".join(lines[:2]) + header
+                        + b"".join(lines[2:]))
+    with caplog.at_level(logging.WARNING, logger="docbench.pipeline"):
+        assert read_journal(journal) == read_journal(golden)
+    assert [r.getMessage() for r in caplog.records] \
+        == ["skipping repeated header on journal line 4"]
+
+
+@pytest.mark.parametrize("jobs", (1, 2))
+@pytest.mark.parametrize("kept", ("every line", "every other line"))
+def test_resume_yields_records_equal_to_the_journal(golden_dir: Path,
+                                                    tmp_path: Path,
+                                                    jobs: int, kept: str):
+    golden = (golden_dir / "expected" / "partial.jsonl").read_bytes()
+    header, *lines = golden.splitlines(keepends=True)
+    if kept == "every other line":
+        lines = lines[::2]
+    journal = tmp_path / "partial.jsonl"
+    journal.write_bytes(header + b"".join(lines))
+    _, journalled = read_journal(journal)
+    config = _golden_config(golden_dir, "partial", parallelism=jobs)
+    results = list(evaluate_run(config, journal_path=journal))
+    assert len(results) == 9
+    for result in results:
+        assert type(result) is UnitResult
+        assert type(result.key) is PageKey
+        assert type(result.scores) is DocumentScores
+    units = {(r.key, r.label) for r in journalled}
+    resumed = [r for r in results if (r.key, r.label) in units]
+    assert [r._asdict() for r in resumed] == [r._asdict() for r in journalled]
+    if kept == "every line":
+        assert journal.read_bytes() == golden
+
+
+def test_unit_result_pickles_by_class_reference():
+    scores = DocumentScores(0.5, 0.25, 1.0 / 3.0, 0.9, 4, 8,
+                            ("EmptyGroundTruth",))
+    result = UnitResult(PageKey("1401.0001", 2), "table", STATUS_SCORED, scores)
+    data = pickle.dumps(result)
+    assert b"docbench.pipeline" in data and b"UnitResult" in data
+    again = pickle.loads(data)
+    assert again == result
+    assert type(again) is UnitResult
+    assert type(again.key) is PageKey
+    assert type(again.scores) is DocumentScores
+
+
+def test_read_journal_memory_per_unit(tmp_path: Path):
+    """A journal's records stay small: 20K units retain under 560 B each."""
+    rng = random.Random(7)
+    statuses = (STATUS_SCORED, STATUS_SCORED, STATUS_MISSING, STATUS_ERROR)
+    lines = ['{"doc":"2101.%05d","page":%d,"label":"%s","status":"%s",'
+             '"p":%.6f,"r":%.6f,"f1":%.6f,"acc":%.6f,"m":%d,"n":%d}' % (
+                 doc, page, label, rng.choice(statuses), rng.random(),
+                 rng.random(), rng.random(), rng.random(), rng.randrange(40),
+                 rng.randrange(40))
+             for doc in range(2500) for page in range(2)
+             for label in ("author", "paragraph", "section", "title")]
+    journal = tmp_path / "big.jsonl"
+    journal.write_text('{"kind":"header","config":"0"}\n'
+                       + "".join(line + "\n" for line in lines),
+                       encoding="utf-8")
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        _, results = read_journal(journal)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(results) == 20_000
+    assert retained / len(results) < 560
 
 
 def test_worker_count_is_capped_at_cpu_count(monkeypatch):
@@ -705,8 +897,8 @@ def test_zero_score_labels_partial_tool(golden_dir: Path):
 
 
 def test_zero_score_labels_mixed_units():
-    zero = DocumentScores(0.0, 0.0, 0.0, 0.0, 0, 0, 0, 3)
-    hit = DocumentScores(1.0, 1.0, 1.0, 1.0, 2, 2, 2, 2)
+    zero = DocumentScores(0.0, 0.0, 0.0, 0.0, 0, 3)
+    hit = DocumentScores(1.0, 1.0, 1.0, 1.0, 2, 2)
     results = [
         UnitResult(PageKey("d", 0), "table", STATUS_MISSING, zero),
         UnitResult(PageKey("d", 1), "table", STATUS_SCORED, hit),

@@ -20,7 +20,7 @@ def _unit(label: str, f1_value: float, page: int = 0,
           status: str = STATUS_SCORED) -> UnitResult:
     scores = DocumentScores(
         precision=f1_value, recall=f1_value, f1=f1_value, accuracy=f1_value,
-        matched_extracted=0, matched_gt=0, m=1, n=1)
+        m=1, n=1)
     return UnitResult(PageKey("1401.0001", page), label, status, scores)
 
 
