@@ -7,9 +7,9 @@ order-sensitive accuracy.
 """
 
 from .corpus import (DEFAULT_KEY_PATTERN, DEFAULT_LABELS, CorpusIndex,
-                     GroundTruthPage, GroundTruthToken, PageKey, index_corpus,
-                     load_index, parse_gt_page, parse_gt_record,
-                     parse_page_key, sample_by_month, save_index)
+                     GroundTruthPage, PageKey, index_corpus, load_index,
+                     parse_gt_page, parse_gt_record, parse_page_key,
+                     sample_by_month, save_index)
 from .interchange import (AdapterConfig, ExtractionRecord, load_adapter_config,
                           read_records, tokenize)
 from .metrics import (DocumentScores, MatchConfig, SimilarityMatrix, accuracy,

@@ -14,6 +14,7 @@ from __future__ import annotations
 import functools
 import json
 import logging
+import math
 import re
 import unicodedata
 from dataclasses import dataclass
@@ -65,20 +66,6 @@ class PageKey:
 
 
 @dataclass(frozen=True)
-class GroundTruthToken:
-    text: str
-    x0: int
-    y0: int
-    x1: int
-    y1: int
-    r: int
-    g: int
-    b: int
-    font_name: str
-    label: str
-
-
-@dataclass(frozen=True)
 class ParseIssue:
     line_no: int
     kind: str  # "malformed" | "unknown-label" | "fractional-coordinate" | "decode"
@@ -88,16 +75,16 @@ class ParseIssue:
 @dataclass(frozen=True)
 class GroundTruthPage:
     key: PageKey
-    tokens: tuple[GroundTruthToken, ...]
+    texts: dict[str, tuple[str, ...]]  # label -> token texts, in file order
     issues: tuple[ParseIssue, ...] = ()
 
     @property
     def labels(self) -> frozenset[str]:
-        return frozenset(t.label for t in self.tokens)
+        return frozenset(self.texts)
 
     def tokens_for_label(self, label: str) -> tuple[str, ...]:
         """Token texts carrying the given label, in file order."""
-        return tuple(t.text for t in self.tokens if t.label == label)
+        return self.texts.get(label, ())
 
 
 def _parse_coordinate(raw: str, name: str, line_no: int) -> tuple[int, ParseIssue | None]:
@@ -110,6 +97,8 @@ def _parse_coordinate(raw: str, name: str, line_no: int) -> tuple[int, ParseIssu
         value = float(raw)
     except ValueError:
         raise MalformedRecord(f"non-numeric {name}: {raw!r}", line_no) from None
+    if not math.isfinite(value):
+        raise MalformedRecord(f"non-finite {name}: {raw!r}", line_no)
     issue = ParseIssue(line_no, "fractional-coordinate",
                        f"{name}={raw} truncated to {int(value)}")
     return int(value), issue
@@ -120,11 +109,12 @@ def parse_gt_record(
     vocabulary: frozenset[str] = DEFAULT_LABELS,
     line_no: int = 0,
     nfc: bool = False,
-) -> tuple[GroundTruthToken, tuple[ParseIssue, ...]]:
-    """Parse one annotation line into a token plus any non-fatal warnings.
+) -> tuple[str, str, tuple[ParseIssue, ...]]:
+    """Parse one annotation line into (label, token text, non-fatal warnings).
 
-    Raises MalformedRecord for structural problems and UnknownLabel for a
-    label outside the vocabulary; both carry the line number.
+    Coordinates, colours and font are checked but not kept. Raises
+    MalformedRecord for structural problems and UnknownLabel for a label
+    outside the vocabulary; both carry the line number.
     """
     fields = line.rstrip("\n").split("\t")
     if len(fields) < GT_FIELD_COUNT:
@@ -135,35 +125,38 @@ def parse_gt_record(
         raise MalformedRecord("empty token text", line_no)
     if nfc:
         text = unicodedata.normalize("NFC", text)
-
     issues: list[ParseIssue] = []
-    coords = []
-    for raw, name in zip(fields[1:5], ("x0", "y0", "x1", "y1")):
-        value, issue = _parse_coordinate(raw, name, line_no)
-        coords.append(value)
-        if issue:
-            issues.append(issue)
-    x0, y0, x1, y1 = coords
-    if x0 > x1 or y0 > y1:
-        raise MalformedRecord(f"inverted bbox ({x0},{y0},{x1},{y1})", line_no)
-
-    rgb = []
-    for raw, name in zip(fields[5:8], ("R", "G", "B")):
-        try:
-            channel = int(raw.strip())
-        except ValueError:
-            raise MalformedRecord(f"non-integer {name}: {raw!r}", line_no) from None
-        if not 0 <= channel <= 255:
-            raise MalformedRecord(f"{name} out of range: {channel}", line_no)
-        rgb.append(channel)
-
+    # int() accepts only what int(raw.strip()) does, with the same value, so
+    # a line that passes here is valid; any other is checked field by field,
+    # which names the first bad field and the fractional coordinates.
+    try:
+        x0, y0, x1, y1, r, g, b = map(int, fields[1:8])
+        valid = (x0 <= x1 and y0 <= y1
+                 and 0 <= r <= 255 and 0 <= g <= 255 and 0 <= b <= 255)
+    except ValueError:
+        valid = False
+    if not valid:
+        coords = []
+        for raw, name in zip(fields[1:5], ("x0", "y0", "x1", "y1")):
+            value, issue = _parse_coordinate(raw, name, line_no)
+            coords.append(value)
+            if issue:
+                issues.append(issue)
+        x0, y0, x1, y1 = coords
+        if x0 > x1 or y0 > y1:
+            raise MalformedRecord(f"inverted bbox ({x0},{y0},{x1},{y1})", line_no)
+        for raw, name in zip(fields[5:8], ("R", "G", "B")):
+            try:
+                channel = int(raw.strip())
+            except ValueError:
+                raise MalformedRecord(f"non-integer {name}: {raw!r}",
+                                      line_no) from None
+            if not 0 <= channel <= 255:
+                raise MalformedRecord(f"{name} out of range: {channel}", line_no)
     label = fields[9].strip()
     if label not in vocabulary:
         raise UnknownLabel(label, line_no)
-
-    token = GroundTruthToken(text, x0, y0, x1, y1, rgb[0], rgb[1], rgb[2],
-                             fields[8].strip(), label)
-    return token, tuple(issues)
+    return label, text, tuple(issues)
 
 
 @functools.lru_cache(maxsize=64)
@@ -214,12 +207,12 @@ def parse_gt_page(
         text = data.decode("utf-8", errors="replace")
         issues.append(ParseIssue(0, "decode", f"lossy UTF-8 decode: {exc}"))
 
-    tokens: list[GroundTruthToken] = []
+    texts: dict[str, list[str]] = {}
     for line_no, line in enumerate(text.split("\n"), start=1):
         if not line.strip():
             continue
         try:
-            token, warnings = parse_gt_record(line, vocabulary, line_no, nfc)
+            label, token, warnings = parse_gt_record(line, vocabulary, line_no, nfc)
         except MalformedRecord as exc:
             if strict:
                 raise
@@ -230,9 +223,10 @@ def parse_gt_page(
                 raise
             issues.append(ParseIssue(exc.line_no, "unknown-label", str(exc)))
             continue
-        tokens.append(token)
+        texts.setdefault(label, []).append(token)
         issues.extend(warnings)
-    return GroundTruthPage(key, tuple(tokens), tuple(issues))
+    return GroundTruthPage(key, {label: tuple(tokens) for label, tokens in texts.items()},
+                           tuple(issues))
 
 
 @dataclass(frozen=True)

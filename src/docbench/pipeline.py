@@ -359,15 +359,18 @@ def journal_header(config: RunConfig) -> str:
 _decode = json.JSONDecoder().raw_decode
 
 
-def read_journal(path: str | Path) -> tuple[dict | None, list[UnitResult]]:
+def read_journal(path: str | Path, whole_lines: bool = False,
+                 ) -> tuple[dict | None, list[UnitResult]]:
     """Parse a journal; returns (header or None, results in file order).
 
     A line that is not a complete unit record is skipped with a warning, and
     so is a repeat of a unit already read: the first line of a unit counts.
     Each line is decoded on its own, so a line cut inside a multi-byte
-    character is one malformed line. The first header counts; a later one
-    with another config raises ConfigError, and a repeat of it is skipped
-    with a warning. The units of a page share one PageKey.
+    character is one malformed line. With whole_lines, a last line without
+    a newline, which an interrupted write leaves, is not read. The first
+    header counts; a later one with another config raises ConfigError, and a
+    repeat of it is skipped with a warning. The units of a page share one
+    PageKey.
     """
     header, header_line = None, 0
     results: dict[UnitKey, UnitResult] = {}
@@ -375,6 +378,8 @@ def read_journal(path: str | Path) -> tuple[dict | None, list[UnitResult]]:
     names: dict[str, str] = {}  # one copy of each label and status
     with open(path, "rb") as handle:
         for line_no, line in enumerate(handle, start=1):
+            if whole_lines and line[-1] != 10:  # no b"\n"
+                break
             line = line.strip()
             if not line:
                 continue
@@ -464,8 +469,7 @@ def evaluate_run(
         journal_path = Path(journal_path)
         header, previous = None, []
         if journal_path.exists() and journal_path.stat().st_size > 0:
-            _cut_partial_line(journal_path)
-            header, previous = read_journal(journal_path)
+            header, previous = read_journal(journal_path, whole_lines=True)
             if header is None and previous:
                 raise ConfigError(
                     f"journal {journal_path} holds unit lines but no header, "
@@ -475,6 +479,7 @@ def evaluate_run(
                     f"journal {journal_path} was written with config "
                     f"{header.get('config')!r}, current config is "
                     f"{expected_hash!r}")
+            _cut_partial_line(journal_path)
         done = {(r.key.document_id, r.key.page_index, r.label): r for r in previous}
         # A new journal, or one cut before its first unit line, is rewritten.
         journal_file = open(journal_path, "a" if header else "w", encoding="utf-8")

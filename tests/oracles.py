@@ -8,6 +8,7 @@ of dual-route checks, so they cannot share code with the paths they verify.
 from __future__ import annotations
 
 import json
+import math
 import unicodedata
 
 
@@ -176,3 +177,95 @@ def journal_reference(path) -> tuple:
             continue
         records[record[:3]] = record
     return header, list(records.values()), warnings
+
+
+class _RejectedLine(Exception):
+    def __init__(self, exc_type: str, kind: str, message: str):
+        super().__init__(message)
+        self.exc_type, self.kind, self.message = exc_type, kind, message
+
+
+def _gt_line_reference(line: str, vocabulary, line_no: int, nfc: bool) -> tuple:
+    """One annotation line checked field by field: (label, text, warnings),
+    or _RejectedLine naming the first rule it breaks."""
+    def malformed(message):
+        return _RejectedLine("MalformedRecord", "malformed", message)
+
+    fields = line.split("\t")
+    if len(fields) < 10:
+        raise malformed(f"expected >= 10 fields, got {len(fields)}")
+    text = fields[0].strip()
+    if text == "":
+        raise malformed("empty token text")
+    if nfc:
+        text = unicodedata.normalize("NFC", text)
+    warnings = []
+    box = []
+    for position, name in ((1, "x0"), (2, "y0"), (3, "x1"), (4, "y1")):
+        raw = fields[position].strip()
+        try:
+            box.append(int(raw))
+            continue
+        except ValueError:
+            pass
+        try:
+            value = float(raw)
+        except ValueError:
+            raise malformed(f"non-numeric {name}: {raw!r}") from None
+        if math.isnan(value) or math.isinf(value):
+            raise malformed(f"non-finite {name}: {raw!r}")
+        box.append(math.trunc(value))
+        warnings.append((line_no, "fractional-coordinate",
+                         f"{name}={raw} truncated to {math.trunc(value)}"))
+    x0, y0, x1, y1 = box
+    if x0 > x1 or y0 > y1:
+        raise malformed(f"inverted bbox ({x0},{y0},{x1},{y1})")
+    for position, name in ((5, "R"), (6, "G"), (7, "B")):
+        raw = fields[position]
+        try:
+            channel = int(raw.strip())
+        except ValueError:
+            raise malformed(f"non-integer {name}: {raw!r}") from None
+        if channel < 0 or channel > 255:
+            raise malformed(f"{name} out of range: {channel}")
+    label = fields[9].strip()
+    if label not in vocabulary:
+        raise _RejectedLine("UnknownLabel", "unknown-label",
+                            f"unknown label: {label!r}")
+    return label, text, warnings
+
+
+def gt_page_reference(data: bytes, vocabulary, nfc: bool = False) -> tuple:
+    """An annotation file's bytes parsed one field at a time: (texts, issues,
+    strict_error).
+
+    texts maps each label to its token texts in file order. issues are
+    (line_no, kind, message) in the order met: a lossy UTF-8 decode (line
+    0), then per line either the first broken rule or its fractional
+    coordinates. Lines are split on "\n" only and blank lines skipped. A
+    coordinate is an int, or a finite float truncated toward zero with a
+    warning; nan and inf are malformed. strict_error is (exception type
+    name, message) of the first problem, what strict mode raises, or None.
+    """
+    texts = {}
+    issues = []
+    strict_error = None
+    try:
+        decoded = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        strict_error = ("UnicodeDecodeError", str(exc))
+        decoded = data.decode("utf-8", errors="replace")
+        issues.append((0, "decode", f"lossy UTF-8 decode: {exc}"))
+    for line_no, line in enumerate(decoded.split("\n"), start=1):
+        if line.strip() == "":
+            continue
+        try:
+            label, text, warnings = _gt_line_reference(line, vocabulary, line_no, nfc)
+        except _RejectedLine as exc:
+            if strict_error is None:
+                strict_error = (exc.exc_type, exc.message)
+            issues.append((line_no, exc.kind, exc.message))
+            continue
+        texts.setdefault(label, []).append(text)
+        issues.extend(warnings)
+    return {label: tuple(found) for label, found in texts.items()}, issues, strict_error

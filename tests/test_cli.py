@@ -180,6 +180,29 @@ def test_eval_rejects_headerless_journal(golden_dir: Path, tmp_path: Path):
     assert "no header" in proc.stderr
 
 
+@pytest.mark.parametrize("refusal", ["other config", "two configs", "no header"])
+def test_refused_journal_is_not_cut(golden_dir: Path, tmp_path: Path,
+                                    refusal: str):
+    """A refused journal keeps every byte, even the cut line an interrupted
+    write left at its end."""
+    journal = tmp_path / "partial.jsonl"
+    args = _eval_args(golden_dir, "partial", journal)
+    golden = (golden_dir / "expected" / "partial.jsonl").read_bytes()
+    if refusal == "other config":
+        journal.write_bytes(golden)
+        args.extend(["--threshold", "0.5"])
+    elif refusal == "two configs":
+        _two_config_journal(golden_dir, journal)
+    else:
+        journal.write_bytes(golden.split(b"\n", 1)[1])
+    data = journal.read_bytes() + golden.splitlines()[1][:22]
+    journal.write_bytes(data)
+    proc = _run(*args)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert journal.read_bytes() == data
+
+
 def _two_config_journal(golden_dir: Path, journal: Path) -> bytes:
     """A journal whose first header carries another config, two unit lines,
     then the current header (line 4) and two more unit lines."""
@@ -354,6 +377,34 @@ def test_validate_gt_findings(tmp_path: Path):
     assert proc.returncode == 3
     assert proc.stdout.count("[FINDING]") == 3
     assert "[INFO] 3 findings" in proc.stdout
+
+
+def _gt_with_a_non_finite_coordinate(golden_dir: Path, tmp_path: Path) -> Path:
+    root = tmp_path / "gt"
+    shutil.copytree(golden_dir / "gt", root)
+    with open(root / "7.tar_1401.0001.gz_alpha_0.txt", "a", encoding="utf-8") as page:
+        page.write("word\tinf\t2\t3\t4\t0\t0\t0\tf\ttitle\n")
+    return root
+
+
+def test_validate_names_a_non_finite_coordinate(golden_dir: Path, tmp_path: Path):
+    root = _gt_with_a_non_finite_coordinate(golden_dir, tmp_path)
+    proc = _run("validate", "--gt-root", str(root))
+    assert proc.returncode == 3
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout.count("[FINDING]") == 1
+    assert "[malformed] non-finite x0: 'inf'" in proc.stdout
+
+
+def test_eval_skips_a_non_finite_coordinate(golden_dir: Path, tmp_path: Path):
+    journal = tmp_path / "partial.jsonl"
+    args = _eval_args(golden_dir, "partial", journal)
+    args[args.index("--gt-root") + 1] = str(
+        _gt_with_a_non_finite_coordinate(golden_dir, tmp_path))
+    proc = _run(*args)
+    assert proc.returncode == 0, proc.stderr
+    expected = (golden_dir / "expected" / "partial.jsonl").read_bytes()
+    assert journal.read_bytes() == expected
 
 
 def test_validate_adapter_config(golden_dir: Path, tmp_path: Path):

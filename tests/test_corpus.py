@@ -1,36 +1,34 @@
 from __future__ import annotations
 
 import logging
+import random
 from pathlib import Path
 
 import pytest
 
 from docbench.corpus import (DEFAULT_KEY_PATTERN, DEFAULT_LABELS, CorpusIndex,
-                             GroundTruthToken, PageKey, index_corpus,
-                             load_index, parse_gt_page, parse_gt_record,
-                             parse_page_key, sample_by_month, save_index,
-                             validate_label)
+                             PageKey, index_corpus, load_index, parse_gt_page,
+                             parse_gt_record, parse_page_key, sample_by_month,
+                             save_index, validate_label)
 from docbench.errors import (ConfigError, KeyParseError, MalformedRecord,
                              UnknownLabel)
+from oracles import gt_page_reference
 
 GOOD_LINE = "Transformers\t72\t100\t210\t112\t0\t0\t0\tNimbusRomNo9L-Medi\ttitle"
 
 
 def test_parse_record_field_mapping():
-    token, issues = parse_gt_record(GOOD_LINE, DEFAULT_LABELS, 1)
+    label, text, issues = parse_gt_record(GOOD_LINE, DEFAULT_LABELS, 1)
     assert issues == ()
-    assert token.text == "Transformers"
-    assert (token.x0, token.y0, token.x1, token.y1) == (72, 100, 210, 112)
-    assert (token.r, token.g, token.b) == (0, 0, 0)
-    assert token.font_name == "NimbusRomNo9L-Medi"
-    assert token.label == "title"
+    assert text == "Transformers"
+    assert label == "title"
 
 
 def test_parse_record_ignores_extra_fields():
     line = GOOD_LINE + "\textra\tfields\there"
-    token, issues = parse_gt_record(line, DEFAULT_LABELS, 1)
+    label, text, issues = parse_gt_record(line, DEFAULT_LABELS, 1)
     assert issues == ()
-    assert token.label == "title"
+    assert (label, text) == ("title", "Transformers")
 
 
 def test_parse_record_rejects_short_lines():
@@ -54,6 +52,25 @@ def test_parse_record_rejects_bad_geometry_and_color():
         parse_gt_record(empty_token, DEFAULT_LABELS, 1)
 
 
+def test_parse_gt_page_skips_non_finite_coordinates(tmp_path: Path):
+    path = tmp_path / "1401.0006_0.txt"
+    path.write_text("\n".join([
+        GOOD_LINE,
+        "word\tinf\t2\t3\t4\t0\t0\t0\tf\ttitle",
+        "word\t1\tnan\t3\t4\t0\t0\t0\tf\ttitle",
+        "word\t1\t2\t1e999\t4\t0\t0\t0\tf\ttitle",
+    ]) + "\n", encoding="utf-8")
+    page = parse_gt_page(path)
+    assert page.texts == {"title": ("Transformers",)}
+    assert [(i.line_no, i.kind, i.message) for i in page.issues] == [
+        (2, "malformed", "non-finite x0: 'inf'"),
+        (3, "malformed", "non-finite y0: 'nan'"),
+        (4, "malformed", "non-finite x1: '1e999'")]
+    with pytest.raises(MalformedRecord, match="non-finite x0") as excinfo:
+        parse_gt_page(path, strict=True)
+    assert excinfo.value.line_no == 2
+
+
 def test_parse_record_unknown_label():
     line = "w\t1\t2\t3\t4\t0\t0\t0\tf\tmystery"
     with pytest.raises(UnknownLabel) as excinfo:
@@ -61,15 +78,16 @@ def test_parse_record_unknown_label():
     assert excinfo.value.label == "mystery"
     assert excinfo.value.line_no == 5
     # a widened vocabulary admits it
-    token, _ = parse_gt_record(line, DEFAULT_LABELS | {"mystery"}, 1)
-    assert token.label == "mystery"
+    label, _, _ = parse_gt_record(line, DEFAULT_LABELS | {"mystery"}, 1)
+    assert label == "mystery"
 
 
 def test_parse_record_truncates_fractional_coordinates():
     line = "w\t12.7\t2\t30.2\t40\t0\t0\t0\tf\ttitle"
-    token, issues = parse_gt_record(line, DEFAULT_LABELS, 3)
-    assert token.x0 == 12 and token.x1 == 30
-    assert len(issues) == 2
+    label, text, issues = parse_gt_record(line, DEFAULT_LABELS, 3)
+    assert (label, text) == ("title", "w")
+    assert [i.message for i in issues] == ["x0=12.7 truncated to 12",
+                                           "x1=30.2 truncated to 30"]
     assert all(i.kind == "fractional-coordinate" for i in issues)
     assert all(i.line_no == 3 for i in issues)
 
@@ -137,7 +155,7 @@ def test_parse_gt_page_lenient_vs_strict(tmp_path: Path):
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
     page = parse_gt_page(path)
-    assert len(page.tokens) == 4
+    assert page.texts == {"title": ("Transformers",) * 4}
     kinds = sorted(issue.kind for issue in page.issues)
     assert kinds == ["malformed", "unknown-label"]
     assert page.key == PageKey("1401.9999", 0)
@@ -150,7 +168,7 @@ def test_parse_gt_page_blank_lines_skipped(tmp_path: Path):
     path = tmp_path / "1401.0002_0.txt"
     path.write_text(GOOD_LINE + "\n\n" + GOOD_LINE + "\n", encoding="utf-8")
     page = parse_gt_page(path)
-    assert len(page.tokens) == 2
+    assert page.texts == {"title": ("Transformers",) * 2}
     assert page.issues == ()
 
 
@@ -261,11 +279,17 @@ def test_default_pattern_names():
     assert "(?P<page>" in DEFAULT_KEY_PATTERN
 
 
-def test_token_is_frozen():
-    token, _ = parse_gt_record(GOOD_LINE, DEFAULT_LABELS, 1)
-    assert isinstance(token, GroundTruthToken)
+def test_token_is_frozen(tmp_path: Path):
+    record = parse_gt_record(GOOD_LINE, DEFAULT_LABELS, 1)
+    assert record == ("title", "Transformers", ())
+    with pytest.raises(TypeError):
+        record[1] = "other"
+    path = tmp_path / "1401.0005_0.txt"
+    path.write_text(GOOD_LINE + "\n", encoding="utf-8")
+    page = parse_gt_page(path)
+    assert page.tokens_for_label("title") == ("Transformers",)
     with pytest.raises(AttributeError):
-        token.text = "other"
+        page.texts = {}
 
 
 def test_lossy_decode_surfaces_issue(tmp_path: Path):
@@ -275,17 +299,17 @@ def test_lossy_decode_surfaces_issue(tmp_path: Path):
     path.write_bytes(raw)
     page = parse_gt_page(path)
     assert any(issue.kind == "decode" for issue in page.issues)
-    assert len(page.tokens) == 2
+    assert page.texts == {"title": ("Transformers", "bad\ufffd")}
     with pytest.raises(UnicodeDecodeError):
         parse_gt_page(path, strict=True)
 
 
 def test_nfc_flag_normalizes_token_text():
     decomposed = "café\t1\t2\t3\t4\t0\t0\t0\tf\ttitle"
-    token, _ = parse_gt_record(decomposed, DEFAULT_LABELS, 1, nfc=True)
-    assert token.text == "café"
-    token, _ = parse_gt_record(decomposed, DEFAULT_LABELS, 1)
-    assert token.text == "café"
+    _, text, _ = parse_gt_record(decomposed, DEFAULT_LABELS, 1, nfc=True)
+    assert text == "café"
+    _, text, _ = parse_gt_record(decomposed, DEFAULT_LABELS, 1)
+    assert text == "café"
 
 
 def test_label_presence_layout(golden_dir: Path):
@@ -295,3 +319,79 @@ def test_label_presence_layout(golden_dir: Path):
     assert key in index.entries
     labels = {label for label, keys in index.label_presence.items() if key in keys}
     assert labels == {"abstract", "author", "title"}
+
+
+# Field values the fuzzed pages draw from, by field position: valid and
+# broken alike.
+_FUZZ_COORDS = ("0", "12", " 12 ", "\u200312", "\x1c7", "1_0", "\u0661\u0662",
+                "0x1f", "12.7", "-0.5", "1e2", "2.5e1", "nan", "inf", "-inf",
+                "1e999", "9" * 5000, "abc", "", "1__0")
+_FUZZ_CHANNELS = ("0", "255", " 7 ", "-1", "256", "1_0", "\u0663", "x", "3.0", "")
+_FUZZ_FIELDS = (
+    ("w", "cafe\u0301", "caf\u00e9", " padded ", "\U0001d400", "x\u00a0", "", "   "),
+    *[_FUZZ_COORDS] * 4,
+    *[_FUZZ_CHANNELS] * 3,
+    ("font", "", " f "),
+    ("title", " title ", "author\r", "", "mystery", "Title"),
+)
+
+
+def _fuzz_page(rng: random.Random) -> bytes:
+    """Up to eight lines: blank ones, and valid lines with up to two fields
+    replaced, an inverted box, too few or extra fields, or a \r ending;
+    one page in twenty carries an invalid UTF-8 sequence."""
+    lines = []
+    for _ in range(rng.randint(0, 8)):
+        if rng.random() < 0.08:
+            lines.append(rng.choice(["", "  ", "\r"]))
+            continue
+        x0, y0 = rng.randint(0, 25), rng.randint(0, 25)
+        fields = [rng.choice(["w", "Transformers", "cafe\u0301"]),
+                  str(x0), str(y0), str(x0 + rng.randint(0, 25)),
+                  str(y0 + rng.randint(0, 25)), "0", "0", "0", "font",
+                  rng.choice(["title", "abstract", "author", "paragraph"])]
+        for _ in range(rng.choice((0, 0, 1, 1, 2))):
+            position = rng.randrange(10)
+            fields[position] = rng.choice(_FUZZ_FIELDS[position])
+        if rng.random() < 0.05:
+            fields[1], fields[3] = fields[3], fields[1]
+        if rng.random() < 0.05:
+            fields = fields[:rng.randint(1, 9)]
+        elif rng.random() < 0.05:
+            fields += ["extra"] * rng.randint(1, 3)
+        lines.append("\t".join(fields) + ("\r" if rng.random() < 0.1 else ""))
+    data = "\n".join(lines).encode("utf-8") + (b"\n" if rng.random() < 0.8 else b"")
+    if data and rng.random() < 0.05:
+        cut = rng.randrange(len(data))
+        data = data[:cut] + rng.choice([b"\xff", b"\xe2\x82", b"\xc3"]) + data[cut:]
+    return data
+
+
+def test_parse_gt_page_agrees_with_the_reference_parser(tmp_path: Path):
+    """Fuzzed pages: tokens per label, every issue, and what strict mode
+    raises, with and without NFC; and the index lists every label the
+    parser yields, which _plan_pages relies on to skip journalled pages."""
+    rng = random.Random(9)
+    pages = {}
+    for number in range(2000):
+        path = tmp_path / f"1401.{number:05d}_0.txt"
+        pages[path] = _fuzz_page(rng)
+        path.write_bytes(pages[path])
+    index = index_corpus(tmp_path)
+    listed = {key: set() for key in index.entries}
+    for label, keys in index.label_presence.items():
+        for key in keys:
+            listed[key].add(label)
+    for path, data in pages.items():
+        for nfc in (False, True):
+            texts, issues, strict_error = gt_page_reference(data, DEFAULT_LABELS, nfc)
+            page = parse_gt_page(path, nfc=nfc)
+            assert page.texts == texts, path.name
+            assert [(i.line_no, i.kind, i.message) for i in page.issues] == issues
+            assert page.labels <= listed[page.key]
+            if strict_error is None:
+                assert parse_gt_page(path, strict=True, nfc=nfc) == page
+                continue
+            with pytest.raises(Exception) as excinfo:
+                parse_gt_page(path, strict=True, nfc=nfc)
+            assert (type(excinfo.value).__name__, str(excinfo.value)) == strict_error
