@@ -38,6 +38,14 @@ def _split_labels(raw: str) -> tuple[str, ...]:
     return labels
 
 
+def _vocabulary(args: argparse.Namespace, *labels: str) -> frozenset[str]:
+    """The default labels, the given ones and those of --extra-labels."""
+    vocabulary = frozenset(DEFAULT_LABELS).union(labels)
+    if args.extra_labels:
+        vocabulary |= frozenset(_split_labels(args.extra_labels))
+    return vocabulary
+
+
 def _parse_sample(raw: str) -> tuple[str, str]:
     if ":" not in raw:
         raise ConfigError(f"sample must look like YYMM:YYMM, got {raw!r}")
@@ -46,10 +54,7 @@ def _parse_sample(raw: str) -> tuple[str, str]:
 
 
 def cmd_index(args: argparse.Namespace) -> int:
-    vocabulary = frozenset(DEFAULT_LABELS)
-    if args.extra_labels:
-        vocabulary |= frozenset(_split_labels(args.extra_labels))
-    index = index_corpus(args.gt_root, vocabulary, args.pattern)
+    index = index_corpus(args.gt_root, _vocabulary(args), args.pattern)
     save_index(index, args.out)
     print(f"[INFO] indexed {len(index)} pages under {args.gt_root}")
     if index.skipped_files:
@@ -69,9 +74,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
                         normalize_nfc=args.nfc)
     adapter = load_adapter_config(args.adapter_config)
     labels = _split_labels(args.labels)
-    vocabulary = frozenset(DEFAULT_LABELS) | frozenset(labels)
-    if args.extra_labels:
-        vocabulary |= frozenset(_split_labels(args.extra_labels))
+    vocabulary = _vocabulary(args, *labels)
     sample = _parse_sample(args.sample) if args.sample else None
 
     index = None
@@ -145,13 +148,14 @@ def _validate_gt_root(args: argparse.Namespace, findings: list[str]) -> None:
     root = Path(args.gt_root)
     if not root.is_dir():
         raise NotADirectoryError(f"not a directory: {root}")
+    vocabulary = _vocabulary(args)
     for path in sorted(root.rglob("*.txt")):
         try:
             parse_page_key(path.name, args.pattern)
         except KeyParseError as exc:
             findings.append(f"{path}: {exc}")
             continue
-        page = parse_gt_page(path, DEFAULT_LABELS, args.pattern, strict=False)
+        page = parse_gt_page(path, vocabulary, args.pattern, strict=False)
         for issue in page.issues:
             findings.append(f"{path}:{issue.line_no}: [{issue.kind}] {issue.message}")
 
@@ -299,6 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_validate.add_argument("--adapter-config", default="")
     p_validate.add_argument("--tool-output", default="")
     p_validate.add_argument("--pattern", default=DEFAULT_KEY_PATTERN)
+    p_validate.add_argument("--extra-labels", default="")
     p_validate.set_defaults(func=cmd_validate)
     return parser
 

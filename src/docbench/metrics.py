@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import unicodedata
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import accumulate
 from typing import NamedTuple, Sequence
 
@@ -91,38 +92,31 @@ def _prepare(text: str, config: MatchConfig) -> str:
     return text
 
 
-def _pack(tokens: TokenSequence) -> tuple[dict[str, int], int, int]:
-    """Bit-parallel pattern for a token list: one lane per token in one int.
+@lru_cache(maxsize=1)
+def _masks(text: str) -> dict[str, int]:
+    """Match masks of text: bit i of masks[c] is set where text[i] == c.
 
-    Lane k holds the len(token) positions of token k plus one guard bit on
-    top, which takes the carry or shift out of the lane; every step of the
-    recurrence clears it again with `& full`. Returns the per-character match
-    masks, `full` (all lane bits, no guards) and the first bit of each
-    non-empty lane.
+    Kept for the last text: a unit's collated ground truth is the text of
+    its matrix's lanes, read again by its accuracy. Callers only read it.
     """
     masks: dict[str, int] = {}
-    full = starts = offset = 0
-    for token in tokens:
-        for position, char in enumerate(token, offset):
-            masks[char] = masks.get(char, 0) | 1 << position
-        if token:
-            full |= ((1 << len(token)) - 1) << offset
-            starts |= 1 << offset
-        offset += len(token) + 1
-    return masks, full, starts
+    for position, char in enumerate(text):
+        masks[char] = masks.get(char, 0) | 1 << position
+    return masks
 
 
 def _deltas(text: str, masks: dict[str, int], full: int, starts: int,
-            substitution_cost: int) -> tuple[int, int]:
-    """Run the recurrence over text; returns (plus, minus) with
+            substitution_cost: int) -> tuple[int, ...]:
+    """Run the recurrence over text against the lanes of a pattern.
 
-        distance(text, lane token) = len(text) + ones(plus) - ones(minus)
-
-    within every lane. Cost 2 is bit-parallel LCS (Allison & Dix 1986,
-    Hyyrö 2004): V keeps a one for every unmatched pattern position, and
-    distance = len(text) + len(token) - 2 LCS. Cost 1 is Myers's bit-vector
-    Levenshtein (Myers 1999, Hyyrö 2001): Pv/Mv are the +1/-1 vertical
-    deltas of the last column, whose top row is len(text).
+    Every step clears the guard bit above each lane with `& full`, so the
+    masks are never read there; starts has the first bit of each non-empty
+    lane. Cost 2 is bit-parallel LCS (Allison & Dix 1986, Hyyrö 2004): it
+    returns (V,), a one per unmatched pattern position, and within a lane
+    distance(text, token) = len(text) - len(token) + 2 ones(V). Cost 1 is
+    Myers's bit-vector Levenshtein (Myers 1999, Hyyrö 2001): it returns the
+    +1/-1 vertical deltas (Pv, Mv) of the last column, whose top row is
+    len(text), and distance = len(text) + ones(Pv) - ones(Mv).
     """
     if substitution_cost == 2:
         v = full
@@ -130,7 +124,7 @@ def _deltas(text: str, masks: dict[str, int], full: int, starts: int,
             u = v & masks.get(char, 0)
             # u lies within v, so v - u never borrows across a lane
             v = ((v + u) | (v - u)) & full
-        return v, v ^ full
+        return (v,)
     pv, mv = full, 0
     for char in text:
         eq = masks.get(char, 0)
@@ -146,16 +140,25 @@ def _deltas(text: str, masks: dict[str, int], full: int, starts: int,
     return pv, mv
 
 
+def _distance(text: str, pattern: str, substitution_cost: int) -> int:
+    """distance(text, pattern), the pattern packed as one lane."""
+    if text == pattern:
+        return 0
+    full = (1 << len(pattern)) - 1
+    ones = [v.bit_count() for v in _deltas(
+        text, _masks(pattern), full, full & 1, substitution_cost)]
+    if substitution_cost == 2:
+        return len(text) - len(pattern) + 2 * ones[0]
+    return len(text) + ones[0] - ones[1]
+
+
 def edit_distance(a: str, b: str, substitution_cost: int = 2) -> int:
     """Levenshtein distance; insertions and deletions cost 1."""
     if substitution_cost not in (1, 2):
         raise ValueError(f"substitution_cost must be 1 or 2: {substitution_cost}")
-    if a == b:
-        return 0
-    if len(a) < len(b):
+    if len(a) > len(b):
         a, b = b, a  # the longer string as pattern: fewer interpreted steps
-    plus, minus = _deltas(b, *_pack((a,)), substitution_cost)
-    return len(b) + plus.bit_count() - minus.bit_count()
+    return _distance(a, b, substitution_cost)
 
 
 def lev_ratio(a: str, b: str, config: MatchConfig = DEFAULT_MATCH) -> float:
@@ -164,7 +167,8 @@ def lev_ratio(a: str, b: str, config: MatchConfig = DEFAULT_MATCH) -> float:
     b = _prepare(b, config)
     if not a and not b:
         return 1.0
-    return 1.0 - edit_distance(a, b, config.substitution_cost) / (len(a) + len(b))
+    # symmetric; b as the pattern reuses the masks of a unit's matrix
+    return 1.0 - _distance(a, b, config.substitution_cost) / (len(a) + len(b))
 
 
 def similarity_matrix(
@@ -180,19 +184,26 @@ def similarity_matrix(
     gx = [_prepare(t, config) for t in gt]
     if not ex or not gx:
         return SimilarityMatrix(np.zeros((len(ex), len(gx)), dtype=np.float64))
-    masks, full, starts = _pack(gx)
     gt_len = np.array([len(t) for t in gx], dtype=np.int64)
     lanes = list(accumulate((len(t) + 1 for t in gx), initial=0))
+    full = sum(((1 << len(t)) - 1) << offset for offset, t in zip(lanes, gx))
+    starts = sum(1 << offset for offset, t in zip(lanes, gx) if t)
+    masks = _masks(" ".join(gx))
     nbytes = (lanes.pop() + 7) // 8  # the last entry is the total bit count
-    step = max(1, _BLOCK_BITS // (16 * nbytes))
+    cost = config.substitution_cost
+    per_row = 1 if cost == 2 else 2  # the vectors _deltas returns
+    step = max(1, _BLOCK_BITS // (8 * per_row * nbytes))
     values = np.empty((len(ex), len(gx)), dtype=np.float64)
     for lo in range(0, len(ex), step):
         rows = ex[lo:lo + step]
-        # (plus, minus) of each row in turn: one popcount pass per block
+        # the vectors of each row in turn: one popcount pass per block
         ones = _lane_ones([v for t in rows for v in _deltas(
-            t, masks, full, starts, config.substitution_cost)], nbytes, lanes)
+            t, masks, full, starts, cost)], nbytes, lanes)
         ex_len = np.array([len(t) for t in rows], dtype=np.int64)[:, None]
-        dist = ex_len + ones[0::2] - ones[1::2]
+        if cost == 2:
+            dist = ex_len - gt_len + 2 * ones
+        else:
+            dist = ex_len + ones[0::2] - ones[1::2]
         # both tokens empty: distance 0 over 1 gives ratio 1
         values[lo:lo + len(rows)] = 1.0 - dist / np.maximum(ex_len + gt_len, 1)
     return SimilarityMatrix(values)

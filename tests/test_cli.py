@@ -379,6 +379,23 @@ def test_validate_gt_findings(tmp_path: Path):
     assert "[INFO] 3 findings" in proc.stdout
 
 
+def test_validate_extra_labels_widen_the_vocabulary(tmp_path: Path):
+    # the vocabulary index and eval accept with the same --extra-labels
+    root = tmp_path / "gt"
+    root.mkdir()
+    (root / "1401.0001_0.txt").write_text(
+        "ok\t1\t2\t3\t4\t0\t0\t0\tf\ttitle\n"
+        "aside\t1\t2\t3\t4\t0\t0\t0\tf\tsidebar\n",
+        encoding="utf-8")
+    proc = _run("validate", "--gt-root", str(root), "--extra-labels", "sidebar")
+    assert proc.returncode == 0
+    assert "[INFO] clean" in proc.stdout
+    proc = _run("validate", "--gt-root", str(root))
+    assert proc.returncode == 3
+    assert proc.stdout.count("[FINDING]") == 1
+    assert "[unknown-label]" in proc.stdout
+
+
 def _gt_with_a_non_finite_coordinate(golden_dir: Path, tmp_path: Path) -> Path:
     root = tmp_path / "gt"
     shutil.copytree(golden_dir / "gt", root)

@@ -1,10 +1,12 @@
 from __future__ import annotations
 
 import random
+import unicodedata
 
 import numpy as np
 import pytest
 
+from docbench import metrics
 from docbench.metrics import (DEFAULT_MATCH, EMPTY_EXTRACTION,
                               EMPTY_GROUND_TRUTH, MatchConfig, accuracy,
                               collate, edit_distance, f1, lev_ratio, precision,
@@ -20,6 +22,12 @@ ALPHABET = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789.,-"
 
 # a few shared characters plus some outside the BMP
 EDGE_ALPHABET = ALPHABET[:6] + "\U0001d400\U0001f600é"
+
+
+# characters whose casefold or NFC form differs in length or composes:
+# a combining acute, sharp s, capital and final sigma, dotted capital I,
+# Hangul jamo that compose to one syllable, and two outside the BMP
+FOLD_ALPHABET = "aeAE\u0301\u00df\u03a3\u03c2\u0130\u1100\u1161\u11a8\U0001d400\U0001f600"
 
 
 def _random_word(rng: random.Random, max_len: int = 12) -> str:
@@ -265,3 +273,82 @@ def test_scores_stay_in_unit_interval():
         scores = score_document(extracted, gt)
         for value in (scores.precision, scores.recall, scores.f1, scores.accuracy):
             assert 0.0 <= value <= 1.0
+
+
+def _fold_word(rng: random.Random, length: int) -> str:
+    return "".join(rng.choice(FOLD_ALPHABET) for _ in range(length))
+
+
+def _prepared(text: str) -> str:
+    """The casefolded, then NFC-normalized text, written out independently."""
+    return unicodedata.normalize("NFC", text.casefold())
+
+
+def test_matrix_across_blocks_matches_reference_both_costs():
+    # enough rows for at least three blocks of the larger, cost-2 block
+    rng = random.Random(2004)
+    gt = ([_fold_word(rng, rng.choice((0, 1, 4, 9))) for _ in range(30)]
+          + ["x" * 300, "", "a b", "\U0001d400 \u00df", "E\u0301" * 40])
+    rng.shuffle(gt)
+    extracted = [_fold_word(rng, rng.choice((0, 2, 5, 12))) for _ in range(220)]
+    extracted += ["a b", "X" * 70, ""]
+    bits = sum(len(_prepared(t)) + 1 for t in gt)
+    rows_per_block = metrics._BLOCK_BITS // (8 * ((bits + 7) // 8))
+    assert len(extracted) >= 3 * rows_per_block
+    ex_p = [_prepared(t) for t in extracted]
+    gt_p = [_prepared(t) for t in gt]
+    for cost in (1, 2):
+        config = MatchConfig(substitution_cost=cost, case_sensitive=False,
+                             normalize_nfc=True)
+        matrix = similarity_matrix(extracted, gt, config)
+        assert matrix.values.tolist() == matrix_reference(ex_p, gt_p, cost)
+
+
+def test_matrix_hands_one_vector_per_row_at_cost_2(monkeypatch):
+    # cost 2 counts the LCS vector alone; Myers's cost 1 needs both deltas
+    handed = []
+    lane_ones = metrics._lane_ones
+
+    def counting(vectors, nbytes, lanes):
+        handed.append(len(vectors))
+        return lane_ones(vectors, nbytes, lanes)
+
+    monkeypatch.setattr(metrics, "_lane_ones", counting)
+    rng = random.Random(1986)
+    extracted = [_random_word(rng) for _ in range(37)]
+    gt = [_random_word(rng) for _ in range(11)]
+    for cost, per_row in ((2, 1), (1, 2)):
+        handed.clear()
+        similarity_matrix(extracted, gt, MatchConfig(substitution_cost=cost))
+        assert sum(handed) == per_row * len(extracted)
+
+
+def test_score_document_builds_ground_truth_masks_once():
+    # the matrix's lanes and the accuracy's pattern are one mask table
+    rng = random.Random(1999)
+    gt = [_random_word(rng, 8) + "#" for _ in range(40)]
+    extracted = gt[:30] + ["noise"]
+    metrics._masks.cache_clear()
+    score_document(extracted, gt)
+    info = metrics._masks.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+
+
+def test_accuracy_matches_reference_under_casefold_and_nfc():
+    rng = random.Random(2001)
+    missed = 0
+    for _ in range(120):
+        gt = [_fold_word(rng, rng.randint(0, 5)) for _ in range(rng.randint(0, 7))]
+        extracted = [w if rng.random() < 0.6 else _fold_word(rng, rng.randint(0, 5))
+                     for w in gt[:rng.randint(0, len(gt))]]
+        a, b = collate(extracted), collate(gt)
+        for cost in (1, 2):
+            config = MatchConfig(substitution_cost=cost, case_sensitive=False,
+                                 normalize_nfc=True)
+            expected = ratio_reference(_prepared(a), _prepared(b), cost)
+            assert score_document(extracted, gt, config).accuracy == expected
+            # the extraction as the pattern: not the masks the matrix built
+            before = metrics._masks.cache_info().misses
+            assert accuracy(b, a, config) == expected
+            missed += metrics._masks.cache_info().misses - before
+    assert missed > 0
