@@ -16,7 +16,7 @@ from .metrics import (DocumentScores, MatchConfig, SimilarityMatrix, accuracy,
                       collate, edit_distance, f1, lev_ratio, precision, recall,
                       score_document, similarity_matrix)
 from .pipeline import (EvaluationUnit, RunConfig, UnitResult, config_hash,
-                       evaluate_run, plan_units, read_journal, resolve_output,
+                       evaluate_run, read_journal, resolve_output,
                        score_unit, zero_score_labels)
 from .report import (TASKS, AggregateRow, TaskSummary, aggregate,
                      all_task_summaries, cumulative_f1, emit_bar_chart,

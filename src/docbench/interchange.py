@@ -33,7 +33,7 @@ from typing import Iterable
 from .corpus import validate_label
 from .errors import (AdapterError, ConfigError, CsvParseError, JsonParseError,
                      PathTypeError, XmlParseError)
-from .metrics import DEFAULT_MATCH, MatchConfig, collate, similarity_matrix
+from .metrics import DEFAULT_MATCH, MatchConfig, _qualified_texts, collate
 
 SELECTOR_MISS = "SelectorMiss"
 LOSSY_DECODE = "LossyDecode"
@@ -283,9 +283,10 @@ def restrict_units(
     threshold. Used to pare document-wide output down to the part a
     page-partial ground truth actually covers.
 
-    Items of one width share their windows: one similarity matrix per width
+    Items of one width share their windows: one kernel pass per width
     packs every window into the lanes of one integer (the multiple-pattern
-    scheme of Hyyrö, Fredriksson & Navarro 2005) and takes row maxima.
+    scheme of Hyyrö, Fredriksson & Navarro 2005) and reads which rows reach
+    the threshold. An item equal to one of its windows needs no kernel row.
     """
     if not gt_tokens:
         return ()
@@ -296,8 +297,9 @@ def restrict_units(
     for width, positions in by_width.items():
         windows = [collate(gt_tokens[start:start + width])
                    for start in range(len(gt_tokens) - width + 1)]
-        matrix = similarity_matrix([collate(units[p]) for p in positions],
-                                   windows, config)
-        for position, best in zip(positions, matrix.values.max(axis=1)):
-            keep[position] = best >= config.threshold
+        texts, _, found = _qualified_texts(
+            [collate(units[p]) for p in positions], windows, config,
+            columns=False)
+        for position, text in zip(positions, texts):
+            keep[position] = text in found
     return tuple(unit for unit, kept in zip(units, keep) if kept)

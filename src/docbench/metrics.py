@@ -19,7 +19,7 @@ import unicodedata
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
-from typing import NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -97,7 +97,7 @@ def _masks(text: str) -> dict[str, int]:
     """Match masks of text: bit i of masks[c] is set where text[i] == c.
 
     Kept for the last text: a unit's collated ground truth is the text of
-    its matrix's lanes, read again by its accuracy. Callers only read it.
+    its kernel's lanes, read again by its accuracy. Callers only read it.
     """
     masks: dict[str, int] = {}
     for position, char in enumerate(text):
@@ -167,7 +167,7 @@ def lev_ratio(a: str, b: str, config: MatchConfig = DEFAULT_MATCH) -> float:
     b = _prepare(b, config)
     if not a and not b:
         return 1.0
-    # symmetric; b as the pattern reuses the masks of a unit's matrix
+    # symmetric; b as the pattern reuses the masks of a unit's lanes
     return 1.0 - _distance(a, b, config.substitution_cost) / (len(a) + len(b))
 
 
@@ -182,18 +182,30 @@ def similarity_matrix(
     """
     ex = [_prepare(t, config) for t in extracted]
     gx = [_prepare(t, config) for t in gt]
+    values = np.empty((len(ex), len(gx)), dtype=np.float64)
+    lo = 0
+    for block in _lane_ratios(ex, gx, config.substitution_cost):
+        values[lo:lo + len(block)] = block
+        lo += len(block)
+    return SimilarityMatrix(values)
+
+
+def _lane_ratios(ex: list[str], gx: list[str], cost: int) -> Iterator[np.ndarray]:
+    """Ratios of prepared rows ex against prepared lanes gx, in row blocks.
+
+    The lanes share one integer and the masks of their collated text, and
+    the recurrence runs once per row. Nothing runs when either side is empty.
+    """
     if not ex or not gx:
-        return SimilarityMatrix(np.zeros((len(ex), len(gx)), dtype=np.float64))
+        return
     gt_len = np.array([len(t) for t in gx], dtype=np.int64)
     lanes = list(accumulate((len(t) + 1 for t in gx), initial=0))
     full = sum(((1 << len(t)) - 1) << offset for offset, t in zip(lanes, gx))
     starts = sum(1 << offset for offset, t in zip(lanes, gx) if t)
     masks = _masks(" ".join(gx))
     nbytes = (lanes.pop() + 7) // 8  # the last entry is the total bit count
-    cost = config.substitution_cost
     per_row = 1 if cost == 2 else 2  # the vectors _deltas returns
     step = max(1, _BLOCK_BITS // (8 * per_row * nbytes))
-    values = np.empty((len(ex), len(gx)), dtype=np.float64)
     for lo in range(0, len(ex), step):
         rows = ex[lo:lo + step]
         # the vectors of each row in turn: one popcount pass per block
@@ -205,8 +217,7 @@ def similarity_matrix(
         else:
             dist = ex_len + ones[0::2] - ones[1::2]
         # both tokens empty: distance 0 over 1 gives ratio 1
-        values[lo:lo + len(rows)] = 1.0 - dist / np.maximum(ex_len + gt_len, 1)
-    return SimilarityMatrix(values)
+        yield 1.0 - dist / np.maximum(ex_len + gt_len, 1)
 
 
 def _lane_ones(vectors: list[int], nbytes: int, lanes: list[int]) -> np.ndarray:
@@ -215,6 +226,40 @@ def _lane_ones(vectors: list[int], nbytes: int, lanes: list[int]) -> np.ndarray:
     bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8).reshape(len(vectors), nbytes),
                          axis=1, bitorder="little")
     return np.add.reduceat(bits, lanes, axis=1, dtype=np.int64)
+
+
+def _qualified_texts(rows: TokenSequence, lanes: TokenSequence, config: MatchConfig,
+                     columns: bool = True) -> tuple[list[str], list[str], set[str]]:
+    """The prepared rows and lanes, and the set of their texts that qualify:
+    a row text that reaches the threshold against some lane and, with
+    columns, a lane text that reaches it against some row.
+
+    A row text equal to a lane text qualifies on both sides with no kernel
+    call. The kernel runs once, over the other distinct texts of either side
+    against every lane in order. A lone row text qualifies, and so do the
+    lanes it reaches, when it reaches some lane. A lone lane text qualifies
+    when it reaches a lane whose text is a row text: the ratio is symmetric.
+    """
+    rx = [_prepare(t, config) for t in rows]
+    lx = [_prepare(t, config) for t in lanes]
+    if not rx or not lx:
+        return rx, lx, set()
+    found = set(rx) & set(lx)
+    kernel_rows = [t for t in dict.fromkeys(rx) if t not in found]
+    lone_rows = len(kernel_rows)
+    if columns:
+        kernel_rows += [t for t in dict.fromkeys(lx) if t not in found]
+        twin = np.array([t in found for t in lx])
+    good: list[bool] = []
+    for block in _lane_ratios(kernel_rows, lx, config.substitution_cost):
+        hit = block >= config.threshold
+        own = hit[:max(0, lone_rows - len(good))]
+        good += own.any(axis=1).tolist()
+        if columns:
+            found.update(lx[j] for j in np.flatnonzero(own.any(axis=0)))
+            good += hit[len(own):, twin].any(axis=1).tolist()
+    found.update(t for t, g in zip(kernel_rows, good) if g)
+    return rx, lx, found
 
 
 def _qualifying(matrix: SimilarityMatrix, threshold: float) -> tuple[int, int]:
@@ -269,22 +314,14 @@ def score_document(
     or a bare token sequence.
     """
     tokens = getattr(extracted, "tokens", extracted)
-    matrix = similarity_matrix(tokens, gt_tokens, config)
-    rows, cols = _qualifying(matrix, config.threshold)
-    p = min(1.0, rows / matrix.m) if matrix.m else 0.0
-    r = min(1.0, cols / matrix.n) if matrix.n else 0.0
+    ex, gx, found = _qualified_texts(tokens, gt_tokens, config)
+    m, n = len(ex), len(gx)
+    p = min(1.0, sum(t in found for t in ex) / m) if m else 0.0
+    r = min(1.0, sum(t in found for t in gx) / n) if n else 0.0
     acc = accuracy(collate(tokens), collate(gt_tokens), config)
     flags = []
-    if matrix.m == 0:
+    if m == 0:
         flags.append(EMPTY_EXTRACTION)
-    if matrix.n == 0:
+    if n == 0:
         flags.append(EMPTY_GROUND_TRUTH)
-    return DocumentScores(
-        precision=p,
-        recall=r,
-        f1=f1(p, r),
-        accuracy=acc,
-        m=matrix.m,
-        n=matrix.n,
-        flags=tuple(flags),
-    )
+    return DocumentScores(p, r, f1(p, r), acc, m, n, tuple(flags))

@@ -160,13 +160,6 @@ def _plan_pages(pages: Iterable[PagePlan], config: RunConfig,
     return units
 
 
-def plan_units(index: CorpusIndex, config: RunConfig,
-               done: Container[UnitKey] = ()) -> list[EvaluationUnit | UnitKey]:
-    """Every unit of the run, sorted by page key then label; a unit in `done`
-    stands as its key. evaluate_run plans inside its scoring tasks instead."""
-    return _plan_pages(_page_plans(index, config), config, index.vocabulary, done)
-
-
 def resolve_output(
     unit: EvaluationUnit,
     config: RunConfig,

@@ -1,10 +1,12 @@
 from __future__ import annotations
 
 import json
+import unicodedata
 from pathlib import Path
 
 import pytest
 
+from docbench import metrics
 from docbench.errors import (ConfigError, CsvParseError, JsonParseError,
                              PathTypeError, XmlParseError)
 from docbench.interchange import (LOSSY_DECODE, SELECTOR_MISS, AdapterConfig,
@@ -442,6 +444,7 @@ def test_restrict_units_matches_window_oracle():
     rng = random.Random(20231014)
     thresholds = (0.0, 0.5, 0.7, 0.8, 0.9, 1.0)
     outcomes = set()
+    folded_kept = 0
     for case in range(240):
         config = MatchConfig(threshold=thresholds[case % len(thresholds)],
                              substitution_cost=1 + case % 2,
@@ -462,6 +465,9 @@ def test_restrict_units_matches_window_oracle():
             noisy[rng.randrange(len(noisy))] = _restrict_token(rng)
             units.append(tuple(noisy))
         units.insert(rng.randrange(len(units) + 1), exact)  # an equal item
+        # equal to a window once casefolded and NFC-normalized
+        folded = tuple(unicodedata.normalize("NFD", t.swapcase()) for t in exact)
+        units.append(folded)
         rng.shuffle(units)
         units = tuple(units)
         kept = restrict_units(units, gt, config)
@@ -469,4 +475,28 @@ def test_restrict_units_matches_window_oracle():
         if gt:
             assert kept.count(exact) == units.count(exact) >= 2
             outcomes.add(len(kept) == len(units))
+            if not config.case_sensitive and config.normalize_nfc:
+                assert folded in kept
+                folded_kept += folded != exact
     assert outcomes == {True, False}
+    assert folded_kept > 0
+
+
+def test_restrict_units_keeps_window_equal_items_without_kernel_rows(monkeypatch):
+    texts = []
+    deltas = metrics._deltas
+
+    def counting(text, *args):
+        texts.append(text)
+        return deltas(text, *args)
+
+    monkeypatch.setattr(metrics, "_deltas", counting)
+    gt = tokenize("one two three four five six")
+    units = (("two", "three"), ("TWO", "THREE"), ("four",), ("six",) * 2)
+    kept = restrict_units(units, gt)
+    assert kept == (("two", "three"), ("four",))
+    assert texts == ["TWO THREE", "six six"]
+    texts.clear()
+    folding = MatchConfig(case_sensitive=False)
+    assert restrict_units(units[:3], gt, folding) == units[:3]
+    assert texts == []

@@ -352,3 +352,89 @@ def test_accuracy_matches_reference_under_casefold_and_nfc():
             assert accuracy(b, a, config) == expected
             missed += metrics._masks.cache_info().misses - before
     assert missed > 0
+
+
+def _variant(rng: random.Random, word: str) -> str:
+    """word, or a spelling equal to it once casefolded and NFC-normalized."""
+    return rng.choice((word, word.swapcase(), word.upper(),
+                       unicodedata.normalize("NFD", word)))
+
+
+def test_score_document_precision_recall_match_oracles():
+    rng = random.Random(2001)
+    thresholds = (0.0, 0.5, 0.7, 0.9, 1.0)
+    shapes = set()
+    for case in range(1500):
+        fold = case % 2 == 1
+        config = MatchConfig(threshold=thresholds[case % 5],
+                             substitution_cost=1 + case // 2 % 2,
+                             case_sensitive=not fold, normalize_nfc=fold)
+        gt = [_fold_word(rng, rng.randint(0, 4)) for _ in range(rng.randint(0, 8))]
+        gt += rng.choices(gt, k=rng.randint(0, 3)) if gt else []  # duplicates
+        shape = rng.randrange(4)
+        if shape == 0:  # all exact, shuffled, some repeated
+            extracted = rng.sample(gt, len(gt))
+            extracted += rng.choices(gt, k=rng.randint(0, 2)) if gt else []
+        elif shape == 1:  # empty extraction
+            extracted = []
+        else:  # twins (some equal only after preparing), noise, duplicates
+            extracted = [_variant(rng, w) if rng.random() < 0.6
+                         else _fold_word(rng, rng.randint(0, 4)) for w in gt]
+            extracted += [_fold_word(rng, rng.randint(0, 4))
+                          for _ in range(rng.randint(0, 3))]
+            extracted += rng.choices(extracted, k=rng.randint(0, 2)) if extracted else []
+        ex_p = [_prepared(t) for t in extracted] if fold else extracted
+        gt_p = [_prepared(t) for t in gt] if fold else gt
+        expected_p, expected_r, _, _, _ = prf_bruteforce(
+            matrix_reference(ex_p, gt_p, config.substitution_cost), config.threshold)
+        scores = score_document(extracted, gt, config)
+        assert (scores.precision, scores.recall) == (expected_p, expected_r), \
+            (case, extracted, gt)
+        shapes.add((shape, bool(gt), fold and any(
+            e != g and _prepared(e) == _prepared(g) for e in extracted for g in gt)))
+    # every shape met with and without ground truth, and twins only once prepared
+    assert {(s, has_gt) for s, has_gt, _ in shapes} == {
+        (s, has_gt) for s in range(4) for has_gt in (False, True)}
+    assert any(prepared_only for _, _, prepared_only in shapes)
+
+
+@pytest.mark.parametrize("cost", (1, 2))
+def test_score_document_threshold_is_inclusive_on_every_path(cost: int):
+    # ratio("ab", "ac") = 0.5 exactly: as a lone row, and as a lone
+    # ground-truth token that reaches the lane of a twin ("ab")
+    ab_ac = 1 - edit_distance("ab", "ac", cost) / 4
+    for extracted, gt in ((["ab"], ["ac"]), (["ab", "zz"], ["ac", "ab"])):
+        for threshold in (ab_ac, ab_ac + 1e-7):
+            config = MatchConfig(threshold=threshold, substitution_cost=cost)
+            expected = prf_bruteforce(matrix_reference(extracted, gt, cost), threshold)
+            scores = score_document(extracted, gt, config)
+            assert (scores.precision, scores.recall) == expected[:2]
+    at = score_document(["ab"], ["ac"], MatchConfig(threshold=0.5))
+    assert (at.precision, at.recall) == (1.0, 1.0)
+    above = score_document(["ab"], ["ac"], MatchConfig(threshold=0.5000001))
+    assert (above.precision, above.recall) == (0.0, 0.0)
+
+
+def test_kernel_runs_only_for_tokens_without_an_exact_twin(monkeypatch):
+    texts = []
+    deltas = metrics._deltas
+
+    def counting(text, *args):
+        texts.append(text)
+        return deltas(text, *args)
+
+    monkeypatch.setattr(metrics, "_deltas", counting)
+    rng = random.Random(1999)
+    gt = [f"{_random_word(rng, 8)}#{i}" for i in range(40)]  # distinct
+    score_document(gt, gt)
+    assert texts == []
+    extracted = gt[:30] + ["noise"]
+    score_document(extracted, gt)
+    # one row for the noise, one per unmatched ground-truth token, and the
+    # accuracy's one pass over the collated extraction
+    assert sorted(texts) == sorted(["noise", *gt[30:], collate(extracted)])
+    texts.clear()
+    score_document(["noise"] * 3 + gt[:30] + ["noise"], gt + gt[35:])
+    assert texts.count("noise") == 1
+    assert texts.count(gt[35]) == 1
+    assert len(texts) == 1 + 10 + 1

@@ -31,7 +31,7 @@ from docbench.metrics import DocumentScores, MatchConfig
 from docbench.pipeline import (STATUS_ERROR, STATUS_MISSING, STATUS_SCORED,
                                EvaluationUnit, RunConfig, UnitResult,
                                config_hash, evaluate_run, journal_header,
-                               plan_units, read_journal, resolve_output,
+                               read_journal, resolve_output,
                                score_unit, unit_result_to_line,
                                worker_count, zero_score_labels)
 from docbench.report import aggregate, all_task_summaries, emit_report
@@ -88,10 +88,16 @@ def test_config_hash_is_stable_and_sensitive(golden_dir: Path):
         base, adapter=other_adapter)) != config_hash(base)
 
 
+def _planned(index, config: RunConfig) -> list[EvaluationUnit]:
+    """Every unit of a fresh run, the way a scoring task plans its pages."""
+    return pipeline._plan_pages(pipeline._page_plans(index, config), config,
+                                index.vocabulary, ())
+
+
 def test_plan_units_golden_population(golden_dir: Path):
     config = _golden_config(golden_dir, "perfect")
     index = index_corpus(golden_dir / "gt")
-    units = plan_units(index, config)
+    units = _planned(index, config)
     identities = [(str(u.key), u.label) for u in units]
     assert identities == [
         ("1401.0001:0", "paragraph"),
@@ -114,7 +120,7 @@ def test_plan_units_golden_population(golden_dir: Path):
 def test_plan_units_label_subset(golden_dir: Path):
     config = _golden_config(golden_dir, "perfect", labels=("title",))
     index = index_corpus(golden_dir / "gt")
-    units = plan_units(index, config)
+    units = _planned(index, config)
     assert [(str(u.key), u.label) for u in units] == [
         ("1401.0001:0", "title"), ("1402.0042:0", "title")]
 
@@ -122,7 +128,7 @@ def test_plan_units_label_subset(golden_dir: Path):
 def test_plan_units_respects_sample(golden_dir: Path):
     config = _golden_config(golden_dir, "perfect", sample=("1401", "1402"))
     index = index_corpus(golden_dir / "gt")
-    units = plan_units(index, config)
+    units = _planned(index, config)
     docs = {u.key.document_id for u in units}
     assert docs == {"1401.0001", "1402.0042"}
     assert len(units) == 6
