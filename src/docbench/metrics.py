@@ -234,30 +234,30 @@ def _qualified_texts(rows: TokenSequence, lanes: TokenSequence, config: MatchCon
     a row text that reaches the threshold against some lane and, with
     columns, a lane text that reaches it against some row.
 
-    A row text equal to a lane text qualifies on both sides with no kernel
-    call. The kernel runs once, over the other distinct texts of either side
-    against every lane in order. A lone row text qualifies, and so do the
-    lanes it reaches, when it reaches some lane. A lone lane text qualifies
-    when it reaches a lane whose text is a row text: the ratio is symmetric.
+    A row text equal to a lane text (a twin) qualifies with no kernel call.
+    The kernel runs once against every lane in order: each lead row (a
+    distinct row text) qualifies, with the lanes it reaches, when it reaches
+    some lane. The cheaper exact pass settles the lanes: the twins lead too,
+    or each lone lane text trails and is read at the twins' lanes (the ratio
+    is symmetric). So no more rows run than there are distinct row texts.
     """
     rx = [_prepare(t, config) for t in rows]
     lx = [_prepare(t, config) for t in lanes]
-    if not rx or not lx:
-        return rx, lx, set()
-    found = set(rx) & set(lx)
-    kernel_rows = [t for t in dict.fromkeys(rx) if t not in found]
-    lone_rows = len(kernel_rows)
-    if columns:
-        kernel_rows += [t for t in dict.fromkeys(lx) if t not in found]
-        twin = np.array([t in found for t in lx])
-    good: list[bool] = []
-    for block in _lane_ratios(kernel_rows, lx, config.substitution_cost):
-        hit = block >= config.threshold
-        own = hit[:max(0, lone_rows - len(good))]
-        good += own.any(axis=1).tolist()
-        if columns:
-            found.update(lx[j] for j in np.flatnonzero(own.any(axis=0)))
-            good += hit[len(own):, twin].any(axis=1).tolist()
+    found = set(rx).intersection(lx)
+    lone_lanes = [t for t in dict.fromkeys(lx) if t not in found] if columns else []
+    read_lanes = len(lone_lanes) < len(found)
+    kernel_rows = [t for t in dict.fromkeys(rx) if not (read_lanes and t in found)]
+    lead = len(kernel_rows)
+    kernel_rows += lone_lanes if read_lanes else []
+    if not kernel_rows or not lx:
+        return rx, lx, found
+    # a byte per entry: an eighth of the ratio matrix these rows would fill
+    hit = np.concatenate([block >= config.threshold for block in
+                          _lane_ratios(kernel_rows, lx, config.substitution_cost)])
+    good = hit[:lead].any(axis=1).tolist()
+    if columns:  # trailing rows read at the twins' lanes, before lanes are marked
+        good += hit[lead:, [t in found for t in lx]].any(axis=1).tolist()
+        found.update(lx[j] for j in np.flatnonzero(hit[:lead].any(axis=0)))
     found.update(t for t, g in zip(kernel_rows, good) if g)
     return rx, lx, found
 

@@ -438,3 +438,67 @@ def test_kernel_runs_only_for_tokens_without_an_exact_twin(monkeypatch):
     assert texts.count("noise") == 1
     assert texts.count(gt[35]) == 1
     assert len(texts) == 1 + 10 + 1
+    texts.clear()
+    # no twin: the ground-truth tokens cannot qualify, so only the distinct
+    # extracted tokens run
+    noisy = [f"x{t}" for t in gt[:10]]
+    score_document(noisy * 2, gt)
+    assert sorted(texts) == sorted([*noisy, collate(noisy * 2)])
+    texts.clear()
+    # 5 twins and 35 lone ground-truth tokens: the twins mark the lanes they
+    # reach, the cheaper of the two exact passes
+    extracted = gt[:5] + ["noise"]
+    score_document(extracted, gt)
+    assert sorted(texts) == sorted(["noise", *gt[:5], collate(extracted)])
+
+
+@pytest.mark.parametrize("cost", (1, 2))
+@pytest.mark.parametrize("inside", (False, True))
+def test_score_document_matches_oracles_across_row_blocks(monkeypatch, cost: int,
+                                                          inside: bool):
+    # A long lone ground-truth token widens the lanes, so a row block holds
+    # a few kernel rows. The lone extracted rows end on a block edge or
+    # inside a block, and the lone ground-truth rows after them, read at the
+    # twins' lanes, fill the later blocks.
+    rng = random.Random(2002 + 2 * cost + inside)
+
+    def word(letters: str) -> str:
+        return "".join(rng.choice(letters) for _ in range(4))
+
+    def swap(text: str, letters: str) -> str:
+        at = rng.randrange(len(text))
+        return text[:at] + rng.choice(letters) + text[at + 1:]
+
+    twins = list(dict.fromkeys(word("abcdef") for _ in range(15)))
+    lone_gt = [swap(t, "uvwxyz") for t in twins[:3]]  # reach a twin's lane
+    lone_gt += [word("uvwxyz") for _ in range(2)] + [word("uvwxyz") * 1750]
+    gt = twins + lone_gt
+    rng.shuffle(gt)
+    per_row = 1 if cost == 2 else 2
+    nbytes = (sum(len(t) + 1 for t in gt) + 7) // 8
+    step = metrics._BLOCK_BITS // (8 * per_row * nbytes)
+    assert step >= 2
+    lone_ex: list[str] = []
+    while len(lone_ex) < 2 * step + inside:
+        text = swap(rng.choice(twins), "ghijk") if rng.random() < 0.5 else word("ghijk")
+        if text not in lone_ex:
+            lone_ex.append(text)
+    extracted = twins + lone_ex + rng.choices(lone_ex, k=3)
+    rng.shuffle(extracted)
+
+    blocks = []
+    lane_ones = metrics._lane_ones
+
+    def counting(vectors, *args):
+        blocks.append(len(vectors) // per_row)
+        return lane_ones(vectors, *args)
+
+    monkeypatch.setattr(metrics, "_lane_ones", counting)
+    config = MatchConfig(substitution_cost=cost)
+    scores = score_document(extracted, gt, config)
+    expected = prf_bruteforce(matrix_reference(extracted, gt, cost), config.threshold)
+    assert (scores.precision, scores.recall) == expected[:2]
+    assert 0 < expected[0] < 1 and 0 < expected[1] < 1
+    assert len(blocks) >= 3 and set(blocks[:-1]) == {step}
+    assert sum(blocks) == len(lone_ex) + len(lone_gt)
+    assert (len(lone_ex) % step != 0) == inside
