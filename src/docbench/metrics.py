@@ -31,6 +31,11 @@ EMPTY_GROUND_TRUTH = "EmptyGroundTruth"
 # larger blocks raise peak memory and save no time.
 _BLOCK_BITS = 1 << 15
 
+# Texts at least this long get their match masks from one numpy pass; the
+# per-character loop is faster below it (measured crossover ~330 characters
+# on a 62-letter alphabet; a larger alphabet moves it up).
+_MASKS_CUTOFF = 384
+
 TokenSequence = Sequence[str]
 
 
@@ -96,12 +101,33 @@ def _prepare(text: str, config: MatchConfig) -> str:
 def _masks(text: str) -> dict[str, int]:
     """Match masks of text: bit i of masks[c] is set where text[i] == c.
 
+    Two builders, chosen by length. Below _MASKS_CUTOFF the loop ORs each
+    position into its mask, which copies an int as wide as the position, so
+    it grows with the square of the text but has no fixed cost. From the
+    cutoff on, numpy compares the code points with each distinct character,
+    a block of characters at a time so the bool temporary stays near
+    8 * _BLOCK_BITS bytes, and packs each row into one int: linear in the
+    text times its alphabet. utf-32 with surrogatepass gives every code
+    point, lone surrogates too, one 32-bit unit.
+
     Kept for the last text: a unit's collated ground truth is the text of
     its kernel's lanes, read again by its accuracy. Callers only read it.
     """
     masks: dict[str, int] = {}
-    for position, char in enumerate(text):
-        masks[char] = masks.get(char, 0) | 1 << position
+    if len(text) < _MASKS_CUTOFF:
+        for position, char in enumerate(text):
+            masks[char] = masks.get(char, 0) | 1 << position
+        return masks
+    codes = np.frombuffer(text.encode("utf-32-le", "surrogatepass"), dtype="<u4")
+    chars = sorted(set(text))  # np.unique's hashing raised peak RSS ~1 MB
+    keys = np.fromiter(map(ord, chars), dtype="<u4", count=len(chars))
+    width = (len(text) + 7) // 8
+    step = max(1, 8 * _BLOCK_BITS // len(text))
+    for lo in range(0, len(chars), step):
+        rows = np.packbits(codes == keys[lo:lo + step, None], axis=1,
+                           bitorder="little").tobytes()
+        for at, char in enumerate(chars[lo:lo + step]):
+            masks[char] = int.from_bytes(rows[at * width:(at + 1) * width], "little")
     return masks
 
 
@@ -200,8 +226,9 @@ def _lane_ratios(ex: list[str], gx: list[str], cost: int) -> Iterator[np.ndarray
         return
     gt_len = np.array([len(t) for t in gx], dtype=np.int64)
     lanes = list(accumulate((len(t) + 1 for t in gx), initial=0))
-    full = sum(((1 << len(t)) - 1) << offset for offset, t in zip(lanes, gx))
-    starts = sum(1 << offset for offset, t in zip(lanes, gx) if t)
+    # one bit string, most significant lane first: linear in the lane bits
+    full = int("".join("0" + "1" * len(t) for t in reversed(gx)), 2)
+    starts = full & ~(full << 1)  # the lowest bit of each lane's run
     masks = _masks(" ".join(gx))
     nbytes = (lanes.pop() + 7) // 8  # the last entry is the total bit count
     per_row = 1 if cost == 2 else 2  # the vectors _deltas returns

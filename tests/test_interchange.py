@@ -482,6 +482,40 @@ def test_restrict_units_matches_window_oracle():
     assert folded_kept > 0
 
 
+@pytest.mark.parametrize("cost", (1, 2))
+def test_restrict_units_matches_window_oracle_past_the_mask_cutoff(monkeypatch, cost):
+    # Tokens of 78-84 letters make the lanes of widths 5 and 6 (two windows
+    # and one) longer than metrics._MASKS_CUTOFF, so their masks come from
+    # the numpy builder.
+    import random
+    rng = random.Random(2005 + cost)
+    config = MatchConfig(threshold=0.8, substitution_cost=cost,
+                         case_sensitive=False, normalize_nfc=True)
+
+    def token():
+        return "".join(rng.choice(_RESTRICT_ALPHABET)
+                       for _ in range(rng.randint(78, 84)))
+
+    gt = tuple(token() for _ in range(6))
+    exact = gt[1:]
+    noisy = gt[:2] + (token(),) + gt[3:5]
+    # equal to the ground truth once casefolded and NFC-normalized
+    folded = tuple(unicodedata.normalize("NFD", t.swapcase()) for t in gt)
+    junk = tuple(token() for _ in range(6))
+    units = (exact, noisy, junk, folded)
+    built = []
+    masks = metrics._masks
+
+    def recording(text):
+        built.append(len(text))
+        return masks(text)
+
+    monkeypatch.setattr(metrics, "_masks", recording)
+    kept = restrict_units(units, gt, config)
+    assert kept == restrict_reference(units, gt, config) == (exact, noisy, folded)
+    assert len(built) == 2 and min(built) >= metrics._MASKS_CUTOFF
+
+
 def test_restrict_units_keeps_window_equal_items_without_kernel_rows(monkeypatch):
     texts = []
     deltas = metrics._deltas

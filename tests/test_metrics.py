@@ -1,6 +1,9 @@
 from __future__ import annotations
 
 import random
+import sys
+import time
+import tracemalloc
 import unicodedata
 
 import numpy as np
@@ -133,6 +136,71 @@ def test_collated_pair_distance_against_oracle_both_costs():
     assert 2000 < len(b) < 3000
     for cost in (1, 2):
         assert edit_distance(a, b, cost) == distance_full_table(a, b, cost)
+
+
+# a combining mark, NUL, a lone surrogate of each half and two characters
+# outside the BMP: every one a single code point, so a single bit
+MASK_ALPHABET = "ab \u0301\x00\ud800\udfff\U0001d518\U0001f600"
+
+
+def _masks_by_definition(text: str) -> dict[str, int]:
+    """Bit i of masks[c] set where text[i] == c, read off a bit string."""
+    return {c: int("".join("1" if x == c else "0" for x in reversed(text)), 2)
+            for c in set(text)}
+
+
+def test_masks_match_their_definition_on_both_sides_of_the_cutoff():
+    rng = random.Random(1305)
+    cut = metrics._MASKS_CUTOFF
+    # 260 distinct characters at 5K: the numpy builder splits them into
+    # blocks, as it does the 9 of the 50K text
+    wide = MASK_ALPHABET + "".join(map(chr, range(0x4E00, 0x4E00 + 251)))
+    assert len(wide) > 8 * metrics._BLOCK_BITS // 5000
+    cases = [(MASK_ALPHABET, n) for n in (0, 1, cut - 1, cut, cut + 1, 5000, 50_000)]
+    for alphabet, length in cases + [(wide, 5000)]:
+        text = "".join(rng.choice(alphabet) for _ in range(length))
+        assert metrics._masks(text) == _masks_by_definition(text), length
+
+
+def test_long_pair_with_lone_surrogates_matches_oracle_both_costs():
+    # a pattern past the cutoff is encoded as utf-32, which must take lone
+    # surrogates as code points rather than raise
+    rng = random.Random(1306)
+    b = "".join(rng.choice(MASK_ALPHABET) for _ in range(metrics._MASKS_CUTOFF + 40))
+    a = "".join(c if rng.random() < 0.8 else rng.choice(MASK_ALPHABET)
+                for c in b[:300])
+    assert "\ud800" in a and "\udfff" in b
+    for cost in (1, 2):
+        assert edit_distance(a, b, cost) == distance_full_table(a, b, cost)
+        assert (lev_ratio(a, b, MatchConfig(substitution_cost=cost))
+                == ratio_reference(a, b, cost))
+
+
+def test_masks_build_in_linear_time_and_bounded_memory():
+    # The per-character loop copies an int as wide as each position, so it
+    # grows with the square of the text: ~1.4 s for these 400K characters
+    # (~0.34 s at 200K). The numpy builder takes ~25 ms.
+    rng = random.Random(1307)
+    text = " ".join(_random_word(rng, 9) for _ in range(80_000))[:400_000]
+    assert len(text) == 400_000
+    best = float("inf")
+    for _ in range(3):
+        metrics._masks.cache_clear()
+        started = time.perf_counter()
+        metrics._masks(text)
+        best = min(best, time.perf_counter() - started)
+    assert best < 0.2, f"masks of 400K characters took {best:.3f} s"
+    # temporaries stay bounded: the code points and one block of bools
+    metrics._masks.cache_clear()
+    tracemalloc.start()
+    try:
+        masks = metrics._masks(text)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    size = sum(sys.getsizeof(mask) for mask in masks.values())
+    assert peak < 2 * size, (peak, size)
+    metrics._masks.cache_clear()
 
 
 def test_matrix_entries_equal_pairwise_recomputation():
