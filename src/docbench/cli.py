@@ -123,7 +123,7 @@ def _collect_rows(args: argparse.Namespace):
 
 def cmd_report(args: argparse.Namespace) -> int:
     rows, stamp = _collect_rows(args)
-    summaries = all_task_summaries(rows, variant=args.variant) if rows else []
+    summaries = all_task_summaries(rows, variant=args.variant)
     text = emit_report(rows, summaries, fmt=args.format,
                        out=args.out or None, stamp=stamp, variant=args.variant)
     if args.out:
@@ -135,11 +135,8 @@ def cmd_report(args: argparse.Namespace) -> int:
 
 def cmd_chart(args: argparse.Namespace) -> int:
     rows, stamp = _collect_rows(args)
-    summaries = None
-    if args.metric == "cumulative_f1":
-        summaries = all_task_summaries(rows, variant=args.variant) if rows else []
-    emit_bar_chart(rows, args.metric, out=args.out, summaries=summaries,
-                   stamp=stamp, variant=args.variant)
+    emit_bar_chart(rows, args.metric, out=args.out, stamp=stamp,
+                   variant=args.variant)
     print(f"[INFO] chart written to {args.out}")
     return EXIT_OK
 
@@ -226,20 +223,32 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     fmt = argparse.ArgumentDefaultsHelpFormatter
+    ground_truth = argparse.ArgumentParser(add_help=False)
+    ground_truth.add_argument(
+        "--pattern", default=DEFAULT_KEY_PATTERN,
+        help="ground-truth filename pattern with (?P<doc>) and (?P<page>)")
+    ground_truth.add_argument(
+        "--extra-labels", default="",
+        help="comma-separated labels beyond the default twelve")
+    journals = argparse.ArgumentParser(add_help=False)
+    journals.add_argument("--journal", action="append", required=True,
+                          help="journal path (repeat for several tools)")
+    journals.add_argument("--variant", choices=("processed", "detected"),
+                          default="processed",
+                          help="which mean to show: over processed units or "
+                               "over all detected units")
+    journals.add_argument("--tool", default="",
+                          help="override the tool name from the journal")
 
-    p_index = sub.add_parser("index", formatter_class=fmt,
+    p_index = sub.add_parser("index", formatter_class=fmt, parents=[ground_truth],
                              help="scan a ground-truth tree into a JSON index")
     p_index.add_argument("--gt-root", default=os.environ.get("DOCBENCH_GT_ROOT"),
                          required="DOCBENCH_GT_ROOT" not in os.environ,
                          help="ground-truth corpus root")
-    p_index.add_argument("--pattern", default=DEFAULT_KEY_PATTERN,
-                         help="filename pattern with (?P<doc>) and (?P<page>)")
-    p_index.add_argument("--extra-labels", default="",
-                         help="comma-separated labels beyond the default twelve")
     p_index.add_argument("--out", required=True, help="index JSON path")
     p_index.set_defaults(func=cmd_index)
 
-    p_eval = sub.add_parser("eval", formatter_class=fmt,
+    p_eval = sub.add_parser("eval", formatter_class=fmt, parents=[ground_truth],
                             help="score one tool's output against ground truth")
     p_eval.add_argument("--index", help="index JSON from 'docbench index'")
     p_eval.add_argument("--gt-root", default=os.environ.get("DOCBENCH_GT_ROOT"),
@@ -254,8 +263,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="JSONL journal to append results to")
     p_eval.add_argument("--labels", default=",".join(sorted(DEFAULT_LABELS)),
                         help="comma-separated labels to evaluate")
-    p_eval.add_argument("--extra-labels", default="",
-                        help="extra vocabulary labels")
     p_eval.add_argument("--threshold", type=float, default=0.7,
                         help="similarity threshold for token matches")
     p_eval.add_argument("--sub-cost", type=int, choices=(1, 2), default=2,
@@ -266,44 +273,29 @@ def build_parser() -> argparse.ArgumentParser:
                         help="NFC-normalize text before comparing")
     p_eval.add_argument("--sample", default="",
                         help="restrict to documents in a YYMM:YYMM range")
-    p_eval.add_argument("--pattern", default=DEFAULT_KEY_PATTERN,
-                        help="ground-truth filename pattern")
     p_eval.add_argument("--jobs", type=int, default=1,
                         help="worker processes (at most the CPU count)")
     p_eval.set_defaults(func=cmd_eval)
 
-    p_report = sub.add_parser("report", formatter_class=fmt,
+    p_report = sub.add_parser("report", formatter_class=fmt, parents=[journals],
                               help="aggregate journals into a CSV/JSON report")
-    p_report.add_argument("--journal", action="append", required=True,
-                          help="journal path (repeat for several tools)")
     p_report.add_argument("--format", choices=("csv", "json"), default="csv")
-    p_report.add_argument("--variant", choices=("processed", "detected"),
-                          default="processed",
-                          help="which mean to show: over processed units or "
-                               "over all detected units")
-    p_report.add_argument("--tool", default="",
-                          help="override the tool name from the journal")
     p_report.add_argument("--out", default="", help="output path (default stdout)")
     p_report.set_defaults(func=cmd_report)
 
-    p_chart = sub.add_parser("chart", formatter_class=fmt,
+    p_chart = sub.add_parser("chart", formatter_class=fmt, parents=[journals],
                              help="render a grouped SVG bar chart")
-    p_chart.add_argument("--journal", action="append", required=True)
     p_chart.add_argument("--metric", choices=CHART_METRICS, required=True)
-    p_chart.add_argument("--variant", choices=("processed", "detected"),
-                         default="processed")
-    p_chart.add_argument("--tool", default="")
     p_chart.add_argument("--out", required=True, help="SVG output path")
     p_chart.set_defaults(func=cmd_chart)
 
     p_validate = sub.add_parser("validate", formatter_class=fmt,
+                                parents=[ground_truth],
                                 help="strict checks on ground truth, adapter "
                                      "configs, or tool output")
     p_validate.add_argument("--gt-root", default="")
     p_validate.add_argument("--adapter-config", default="")
     p_validate.add_argument("--tool-output", default="")
-    p_validate.add_argument("--pattern", default=DEFAULT_KEY_PATTERN)
-    p_validate.add_argument("--extra-labels", default="")
     p_validate.set_defaults(func=cmd_validate)
     return parser
 

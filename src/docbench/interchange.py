@@ -77,8 +77,12 @@ class AdapterConfig:
     path_template: str | None = None
 
     def __post_init__(self):
-        if not self.tool:
-            raise ConfigError("adapter tool name must be non-empty")
+        if not isinstance(self.tool, str) or not self.tool:
+            raise ConfigError("adapter tool name must be a non-empty string")
+        if not isinstance(self.path_template, (str, type(None))):
+            raise ConfigError("adapter path_template must be a string")
+        if not isinstance(self.selector_map, dict):
+            raise ConfigError("adapter selectors must be an object")
         if self.format not in FORMATS:
             raise ConfigError(f"unsupported adapter format: {self.format!r}")
         if self.scope not in SCOPES:
@@ -89,11 +93,23 @@ class AdapterConfig:
             raise ConfigError("csv adapters may only map the 'table' label")
         seen: dict[str, str] = {}
         for label, selector in sorted(self.selector_map.items()):
+            if not isinstance(selector, str):
+                raise ConfigError(f"selector of {label!r} must be a string")
             if selector in seen:
                 raise ConfigError(
                     f"selector {selector!r} is mapped to both "
                     f"{seen[selector]!r} and {label!r}")
             seen[selector] = label
+        fields = {"doc": "1401.0001"}  # a sample document id
+        if self.scope == "page":
+            fields["page"] = 0
+        try:
+            self.effective_path_template.format(**fields)
+        except (AttributeError, IndexError, KeyError, TypeError,
+                ValueError) as exc:
+            raise ConfigError(
+                f"path_template {self.effective_path_template!r} must format "
+                f"with {' and '.join(fields)} alone: {exc!r}") from None
 
     @property
     def effective_path_template(self) -> str:
@@ -105,12 +121,20 @@ class AdapterConfig:
             return "{doc}" + ext
         return "{doc}_{page}" + ext
 
+    def output_path(self, document_id: str, page_index: int) -> str:
+        """The output file of a page, relative to the output root; under
+        document scope, that of its document."""
+        return self.effective_path_template.format(doc=document_id,
+                                                   page=page_index)
+
 
 def load_adapter_config(path: str | Path) -> AdapterConfig:
     try:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"adapter config is not valid JSON: {exc}") from None
+    if not isinstance(payload, dict):
+        raise ConfigError("adapter config must be a JSON object")
     version = payload.get("format_version", ADAPTER_FORMAT_VERSION)
     if version != ADAPTER_FORMAT_VERSION:
         raise ConfigError(f"unsupported adapter format_version: {version!r}")
@@ -120,7 +144,7 @@ def load_adapter_config(path: str | Path) -> AdapterConfig:
     return AdapterConfig(
         tool=payload["tool"],
         format=payload["format"],
-        selector_map=dict(payload.get("selectors", {})),
+        selector_map=payload.get("selectors", {}),
         scope=payload.get("scope", "page"),
         path_template=payload.get("path_template"),
     )

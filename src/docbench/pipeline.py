@@ -175,14 +175,8 @@ def resolve_output(
     covers.
     """
     adapter = config.adapter
-    template = adapter.effective_path_template
-    document = adapter.scope == "document"
-    if document:
-        relative = template.format(doc=unit.key.document_id)
-    else:
-        relative = template.format(doc=unit.key.document_id,
-                                   page=unit.key.page_index)
-    path = Path(config.output_root) / relative
+    path = Path(config.output_root) / adapter.output_path(
+        unit.key.document_id, unit.key.page_index)
     records = cache.get(path) if cache is not None else None
     fresh = records is None
     if fresh:
@@ -201,7 +195,7 @@ def resolve_output(
         elif fresh:
             logger.warning("unreadable tool output %s: %s", path, record)
         return None, STATUS_ERROR
-    if document:
+    if adapter.scope == "document":
         record = replace(record, units=restrict_units(
             record.units, unit.gt_tokens, config.match))
     return record, STATUS_SCORED
@@ -352,20 +346,26 @@ def journal_header(config: RunConfig) -> str:
 _decode = json.JSONDecoder().raw_decode
 
 
-def read_journal(path: str | Path, whole_lines: bool = False,
-                 ) -> tuple[dict | None, list[UnitResult]]:
+def read_journal(path: str | Path) -> tuple[dict | None, list[UnitResult]]:
     """Parse a journal; returns (header or None, results in file order).
 
     A line that is not a complete unit record is skipped with a warning, and
     so is a repeat of a unit already read: the first line of a unit counts.
     Each line is decoded on its own, so a line cut inside a multi-byte
-    character is one malformed line. With whole_lines, a last line without
-    a newline, which an interrupted write leaves, is not read. The first
-    header counts; a later one with another config raises ConfigError, and a
-    repeat of it is skipped with a warning. The units of a page share one
-    PageKey.
+    character is one malformed line. The first header counts; a later one
+    with another config raises ConfigError, and a repeat of it is skipped
+    with a warning. The units of a page share one PageKey.
     """
-    header, header_line = None, 0
+    header, results, _ = _read_journal(path, whole_lines=False)
+    return header, list(results.values())
+
+
+def _read_journal(path: str | Path, whole_lines: bool,
+                  ) -> tuple[dict | None, dict[UnitKey, UnitResult], int]:
+    """read_journal's header and results by unit key, and the byte length of
+    the lines read. With whole_lines, a last line without a newline, which
+    an interrupted write leaves, is not read."""
+    header, header_line, length = None, 0, 0
     results: dict[UnitKey, UnitResult] = {}
     keys: dict[tuple[str, int], PageKey] = {}
     names: dict[str, str] = {}  # one copy of each label and status
@@ -373,6 +373,7 @@ def read_journal(path: str | Path, whole_lines: bool = False,
         for line_no, line in enumerate(handle, start=1):
             if whole_lines and line[-1] != 10:  # no b"\n"
                 break
+            length += len(line)
             line = line.strip()
             if not line:
                 continue
@@ -407,34 +408,13 @@ def read_journal(path: str | Path, whole_lines: bool = False,
             except (KeyError, TypeError, ValueError):
                 logger.warning("skipping malformed journal line %d", line_no)
                 continue
-            unit = (*page, label)
+            unit = (key.document_id, key.page_index, label)
             if unit in results:
                 logger.warning("skipping repeated unit %s/%s on journal line %d",
                                key, label, line_no)
                 continue
             results[unit] = UnitResult(key, label, status, scores)
-    return header, list(results.values())
-
-
-def _cut_partial_line(path: Path) -> None:
-    """Truncate a journal after its last newline, reading only its tail.
-
-    An interrupted run can leave part of a line at the end. Appending to it
-    would merge the fragment and the next line into one malformed line, and
-    that unit would be lost.
-    """
-    with open(path, "r+b") as handle:
-        end = pos = handle.seek(0, os.SEEK_END)
-        while pos > 0:
-            step = min(pos, 4096)
-            handle.seek(pos - step)
-            newline = handle.read(step).rfind(b"\n")
-            if newline >= 0:
-                pos += newline + 1 - step
-                break
-            pos -= step
-        if pos < end:
-            handle.truncate(pos)
+    return header, results, length
 
 
 def evaluate_run(
@@ -460,10 +440,10 @@ def evaluate_run(
     expected_hash = config_hash(config)
     if journal_path is not None:
         journal_path = Path(journal_path)
-        header, previous = None, []
-        if journal_path.exists() and journal_path.stat().st_size > 0:
-            header, previous = read_journal(journal_path, whole_lines=True)
-            if header is None and previous:
+        header = None
+        if journal_path.exists():
+            header, done, length = _read_journal(journal_path, whole_lines=True)
+            if header is None and done:
                 raise ConfigError(
                     f"journal {journal_path} holds unit lines but no header, "
                     f"so its config cannot be checked")
@@ -472,8 +452,10 @@ def evaluate_run(
                     f"journal {journal_path} was written with config "
                     f"{header.get('config')!r}, current config is "
                     f"{expected_hash!r}")
-            _cut_partial_line(journal_path)
-        done = {(r.key.document_id, r.key.page_index, r.label): r for r in previous}
+            # Cut the part of a line an interrupted write left: appended to,
+            # it would merge with the next line and lose that unit.
+            if length < journal_path.stat().st_size:
+                os.truncate(journal_path, length)
         # A new journal, or one cut before its first unit line, is rewritten.
         journal_file = open(journal_path, "a" if header else "w", encoding="utf-8")
         if header is None:

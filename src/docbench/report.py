@@ -244,16 +244,19 @@ def emit_bar_chart(
     """Grouped SVG bar chart of one metric.
 
     Ratio metrics plot per label on a fixed 0..1 scale. cumulative_f1 plots
-    per task from the given summaries; its scale is the largest attainable
-    value among the charted tasks. Bars are grouped by label (or task) and
-    coloured per tool from a fixed palette in sorted tool order.
+    per task from the given summaries, by default those of the rows in this
+    variant; its scale is the largest attainable value among the charted
+    tasks. Bars are grouped by label (or task) and coloured per tool from a
+    fixed palette in sorted tool order.
     """
     if metric not in CHART_METRICS:
         raise ConfigError(f"unsupported chart metric: {metric!r} "
                           f"(expected one of {CHART_METRICS})")
+    if variant not in ("processed", "detected"):
+        raise ConfigError(f"unknown variant: {variant!r}")
     if metric == "cumulative_f1":
         if summaries is None:
-            summaries = all_task_summaries(rows)
+            summaries = all_task_summaries(rows, variant=variant)
         tools = sorted({s.tool for s in summaries})
         groups = [task for task in TASKS
                   if any(s.task == task for s in summaries)]
@@ -261,9 +264,7 @@ def emit_bar_chart(
         scale = float(max((s.max_possible for s in summaries), default=1))
         tick_values = [float(i) for i in range(int(scale) + 1)]
     else:
-        field = {"f1": "f1", "acc": "acc", "p": "p", "r": "r"}[metric]
-        if variant == "detected":
-            field += "_detected"
+        field = metric if variant == "processed" else metric + "_detected"
         tools = sorted({row.tool for row in rows})
         groups = sorted({row.label for row in rows})
         values = {(row.tool, row.label): getattr(row, field) for row in rows}

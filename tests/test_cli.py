@@ -439,6 +439,45 @@ def test_validate_adapter_config(golden_dir: Path, tmp_path: Path):
     assert "[FINDING]" in proc.stdout
 
 
+MALFORMED_ADAPTERS = {
+    "not an object": None,
+    "null selectors": {"selectors": None},
+    "list selectors": {"selectors": ["title"]},
+    "non-string selector": {"selectors": {"title": 5}},
+    "unknown template field": {"path_template": "{doc}_{pg}.txt"},
+    "unbalanced brace": {"path_template": "{doc_{page}.txt"},
+    "positional field": {"path_template": "{0}.txt"},
+    "page under document scope": {"scope": "document",
+                                  "path_template": "{doc}_{page}.txt"},
+}
+
+
+@pytest.mark.parametrize("name", MALFORMED_ADAPTERS)
+def test_malformed_adapter_config_is_a_config_error(golden_dir: Path,
+                                                    tmp_path: Path, name: str):
+    """Each change to a good config (None: a JSON list instead) exits 2 from
+    eval before a journal exists, and is a finding of validate."""
+    payload = json.loads((golden_dir / "adapters" / "partial.json")
+                         .read_text(encoding="utf-8"))
+    changes = MALFORMED_ADAPTERS[name]
+    adapter = tmp_path / "adapter.json"
+    adapter.write_text(json.dumps([] if changes is None
+                                  else {**payload, **changes}),
+                       encoding="utf-8")
+    journal = tmp_path / "j.jsonl"
+    args = _eval_args(golden_dir, "partial", journal)
+    args[args.index("--adapter-config") + 1] = str(adapter)
+    proc = _run(*args)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.count("[ERROR]") == 1
+    assert not journal.exists()
+    proc = _run("validate", "--adapter-config", str(adapter))
+    assert proc.returncode == 3
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout.count("[FINDING]") == 1
+
+
 def test_validate_tool_output(golden_dir: Path, tmp_path: Path):
     proc = _run("validate",
                 "--tool-output", str(golden_dir / "out" / "partial"),

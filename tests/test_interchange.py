@@ -52,6 +52,35 @@ def test_adapter_config_validation():
     AdapterConfig("t", "csv", {"table": ""})
     with pytest.raises(ConfigError):
         AdapterConfig("t", "xml", {"title": "head", "section": "head"})
+    for fields in ({"tool": 5}, {"tool": ["t"]}, {"format": ["xml"]},
+                   {"scope": None}, {"path_template": 5},
+                   {"path_template": ["{doc}.xml"]},
+                   {"selector_map": ["title"]}, {"selector_map": None},
+                   {"selector_map": {"title": 5}},
+                   {"selector_map": {"title": None}}):
+        with pytest.raises(ConfigError):
+            AdapterConfig(**{"tool": "t", "format": "xml", **fields})
+
+
+def test_output_path_formats_the_effective_template():
+    assert AdapterConfig("t", "xml").output_path("1401.0001", 3) == \
+        "1401.0001_3.xml"
+    doc_scope = AdapterConfig("t", "json", scope="document")
+    assert doc_scope.output_path("1401.0001", 3) == "1401.0001.json"
+    sharded = AdapterConfig("t", "xml", path_template="{doc[0]}/{doc}-{page:03d}.xml")
+    assert sharded.output_path("1401.0001", 3) == "1/1401.0001-003.xml"
+
+
+@pytest.mark.parametrize("scope, template", [
+    ("page", "{doc}_{pg}.xml"), ("page", "{doc_{page}.xml"),
+    ("page", "{doc}}.xml"), ("page", "{0}.xml"), ("page", "{}.xml"),
+    ("page", "{page[0]}.xml"), ("page", "{doc.name}.xml"),
+    ("page", "{page:s}.xml"), ("document", "{page}.xml"),
+    ("document", "{doc}_{page}.xml"),
+])
+def test_bad_path_template_is_a_config_error(scope: str, template: str):
+    with pytest.raises(ConfigError, match="path_template"):
+        AdapterConfig("t", "xml", scope=scope, path_template=template)
 
 
 def test_effective_path_template():
@@ -90,6 +119,11 @@ def test_adapter_config_load_errors(tmp_path: Path):
     path.write_text('{"tool": "t"}', encoding="utf-8")
     with pytest.raises(ConfigError):
         load_adapter_config(path)
+    for payload in ("[]", "null", '"xml"', "5",
+                    '{"tool": "t", "format": "xml", "selectors": [["title", "x"]]}'):
+        path.write_text(payload, encoding="utf-8")
+        with pytest.raises(ConfigError):
+            load_adapter_config(path)
 
 
 TEI_LIKE = """<TEI xmlns="http://example.org/ns">

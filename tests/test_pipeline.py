@@ -347,6 +347,26 @@ def test_resume_from_every_cut_offset_gives_the_clean_bytes(golden_dir: Path,
     assert bad == []
 
 
+@pytest.mark.parametrize("blank, partial", [
+    (b"", b'{"doc":"1401.0001","page":' + b"9" * 5000),
+    (b"\n\n", b""),
+    (b"\n \n", b'{"doc":' + "\u00e9".encode() * 3000),
+])
+def test_resume_cuts_only_the_partial_last_line(golden_dir: Path,
+                                                tmp_path: Path,
+                                                blank: bytes, partial: bytes):
+    """A partial last line longer than 4096 bytes goes whole; blank lines
+    that end the whole lines stay, and the missing units follow them."""
+    golden_path = golden_dir / "expected" / "partial.jsonl"
+    header, *lines = golden_path.read_bytes().splitlines(keepends=True)
+    kept = header + b"".join(lines[:4]) + blank
+    journal = tmp_path / "partial.jsonl"
+    journal.write_bytes(kept + partial)
+    list(evaluate_run(_golden_config(golden_dir, "partial"), journal_path=journal))
+    assert journal.read_bytes() == kept + b"".join(lines[4:])
+    assert read_journal(journal) == read_journal(golden_path)
+
+
 def _shut_pool() -> None:
     if pipeline._pool is not None:
         pipeline._pool[1].shutdown()

@@ -251,6 +251,21 @@ def test_chart_cumulative_f1_scale():
     assert match.group(1) == f"{2.25 / 7.0 * 300:.2f}"
 
 
+def test_chart_cumulative_f1_defaults_to_the_summaries_of_its_variant():
+    rows = [_row("t", "title", 0.91), _row("t", "abstract", 0.82),
+            _row("u", "table", 0.6)]
+    for variant in ("processed", "detected"):
+        assert emit_bar_chart(rows, "cumulative_f1", variant=variant) == \
+            emit_bar_chart(rows, "cumulative_f1", variant=variant,
+                           summaries=all_task_summaries(rows, variant=variant))
+    assert emit_bar_chart(rows, "cumulative_f1", variant="detected") != \
+        emit_bar_chart(rows, "cumulative_f1")
+    for metric in CHART_METRICS:
+        for chart_rows in (rows, []):
+            with pytest.raises(ConfigError, match="variant"):
+                emit_bar_chart(chart_rows, metric, variant="median")
+
+
 def test_chart_stamp_and_metric_validation():
     rows = [_row("t", "title", 0.5)]
     svg = emit_bar_chart(rows, "acc", stamp="build 7")
