@@ -43,6 +43,10 @@ SCOPES = ("page", "document")
 
 ADAPTER_FORMAT_VERSION = 1
 
+# The keys an adapter config file may hold.
+ADAPTER_KEYS = ("format_version", "tool", "format", "scope", "selectors",
+                "path_template")
+
 EXTENSIONS = {"xml": ".xml", "json": ".json", "csv": ".csv", "text": ".txt"}
 
 
@@ -135,6 +139,10 @@ def load_adapter_config(path: str | Path) -> AdapterConfig:
         raise ConfigError(f"adapter config is not valid JSON: {exc}") from None
     if not isinstance(payload, dict):
         raise ConfigError("adapter config must be a JSON object")
+    unknown = sorted(set(payload) - set(ADAPTER_KEYS))
+    if unknown:
+        raise ConfigError(f"adapter config has unknown keys {unknown}; "
+                          f"the known keys are {list(ADAPTER_KEYS)}")
     version = payload.get("format_version", ADAPTER_FORMAT_VERSION)
     if version != ADAPTER_FORMAT_VERSION:
         raise ConfigError(f"unsupported adapter format_version: {version!r}")

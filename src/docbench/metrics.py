@@ -36,6 +36,12 @@ _BLOCK_BITS = 1 << 15
 # on a 62-letter alphabet; a larger alphabet moves it up).
 _MASKS_CUTOFF = 384
 
+# Kernel rows x lanes below which _lane_hits reads each lane with int
+# popcounts: numpy's fixed cost, some 20 us a unit, outweighs its speed per
+# cell there (measured crossover 96-128 cells on words of 2-9 letters, both
+# costs; 2-core x86-64 VM, Python 3.11, numpy 2.4).
+_SMALL_CELLS = 112
+
 TokenSequence = Sequence[str]
 
 
@@ -216,6 +222,18 @@ def similarity_matrix(
     return SimilarityMatrix(values)
 
 
+def _pack(gx: list[str]) -> tuple[list[int], int, int, dict[str, int]]:
+    """The lanes of prepared texts gx in one integer: each lane's first bit
+    position, with a guard bit after it, and the total bit count last; full,
+    every lane's bits; starts, the first bit of each non-empty lane; and the
+    match masks of their collated text. gx is not empty."""
+    lanes = list(accumulate((len(t) + 1 for t in gx), initial=0))
+    # one bit string, most significant lane first: linear in the lane bits
+    full = int("".join("0" + "1" * len(t) for t in reversed(gx)), 2)
+    starts = full & ~(full << 1)  # the lowest bit of each lane's run
+    return lanes, full, starts, _masks(" ".join(gx))
+
+
 def _lane_ratios(ex: list[str], gx: list[str], cost: int) -> Iterator[np.ndarray]:
     """Ratios of prepared rows ex against prepared lanes gx, in row blocks.
 
@@ -225,11 +243,7 @@ def _lane_ratios(ex: list[str], gx: list[str], cost: int) -> Iterator[np.ndarray
     if not ex or not gx:
         return
     gt_len = np.array([len(t) for t in gx], dtype=np.int64)
-    lanes = list(accumulate((len(t) + 1 for t in gx), initial=0))
-    # one bit string, most significant lane first: linear in the lane bits
-    full = int("".join("0" + "1" * len(t) for t in reversed(gx)), 2)
-    starts = full & ~(full << 1)  # the lowest bit of each lane's run
-    masks = _masks(" ".join(gx))
+    lanes, full, starts, masks = _pack(gx)
     nbytes = (lanes.pop() + 7) // 8  # the last entry is the total bit count
     per_row = 1 if cost == 2 else 2  # the vectors _deltas returns
     step = max(1, _BLOCK_BITS // (8 * per_row * nbytes))
@@ -255,6 +269,47 @@ def _lane_ones(vectors: list[int], nbytes: int, lanes: list[int]) -> np.ndarray:
     return np.add.reduceat(bits, lanes, axis=1, dtype=np.int64)
 
 
+def _lane_hits(ex: list[str], gx: list[str], config: MatchConfig) -> list[int]:
+    """For each prepared row of ex, the lanes of gx it reaches the threshold
+    against, as a bitmask: bit j for gx[j]. Neither side is empty.
+
+    Below _SMALL_CELLS rows x lanes, each lane's distance is read from the
+    row's vectors with a popcount of the lane's bits. Those are the integers
+    _lane_ones sums, and numpy converts them and the length sums (all below
+    2**53) to float64 exactly, so the correctly rounded division gives the
+    same ratio bit for bit. From the cutoff on, _lane_ratios' numpy pass is
+    faster.
+    """
+    threshold, cost = config.threshold, config.substitution_cost
+    if len(ex) * len(gx) >= _SMALL_CELLS:
+        hits = []
+        for block in _lane_ratios(ex, gx, cost):
+            packed = np.packbits(block >= threshold, axis=1, bitorder="little")
+            width, raw = packed.shape[1], packed.tobytes()
+            hits += [int.from_bytes(raw[at:at + width], "little")
+                     for at in range(0, len(raw), width)]
+        return hits
+    lanes, full, starts, masks = _pack(gx)
+    # (first bit, bit mask, length) of each lane, the last lane first
+    spans = [(at, (1 << len(t)) - 1, len(t)) for at, t in zip(lanes, gx)][::-1]
+    hits = []
+    for text in ex:
+        size, hit = len(text), 0
+        if cost == 2:
+            v, = _deltas(text, masks, full, starts, cost)
+            for at, mask, n in spans:
+                dist = size - n + 2 * (v >> at & mask).bit_count()
+                # both tokens empty: distance 0 over 1 gives ratio 1
+                hit = hit << 1 | (1.0 - dist / (size + n or 1) >= threshold)
+        else:
+            pv, mv = _deltas(text, masks, full, starts, cost)
+            for at, mask, n in spans:
+                dist = size + (pv >> at & mask).bit_count() - (mv >> at & mask).bit_count()
+                hit = hit << 1 | (1.0 - dist / (size + n or 1) >= threshold)
+        hits.append(hit)
+    return hits
+
+
 def _qualified_texts(rows: TokenSequence, lanes: TokenSequence, config: MatchConfig,
                      columns: bool = True) -> tuple[list[str], list[str], set[str]]:
     """The prepared rows and lanes, and the set of their texts that qualify:
@@ -278,13 +333,16 @@ def _qualified_texts(rows: TokenSequence, lanes: TokenSequence, config: MatchCon
     kernel_rows += lone_lanes if read_lanes else []
     if not kernel_rows or not lx:
         return rx, lx, found
-    # a byte per entry: an eighth of the ratio matrix these rows would fill
-    hit = np.concatenate([block >= config.threshold for block in
-                          _lane_ratios(kernel_rows, lx, config.substitution_cost)])
-    good = hit[:lead].any(axis=1).tolist()
+    hits = _lane_hits(kernel_rows, lx, config)
+    good = [hit != 0 for hit in hits[:lead]]
     if columns:  # trailing rows read at the twins' lanes, before lanes are marked
-        good += hit[lead:, [t in found for t in lx]].any(axis=1).tolist()
-        found.update(lx[j] for j in np.flatnonzero(hit[:lead].any(axis=0)))
+        twins = int("".join("1" if t in found else "0" for t in reversed(lx)), 2)
+        good += [hit & twins != 0 for hit in hits[lead:]]
+        reached = 0
+        for hit in hits[:lead]:
+            reached |= hit
+        # bin's digits, least significant first, are the lanes in order
+        found.update(t for t, bit in zip(lx, reversed(bin(reached))) if bit == "1")
     found.update(t for t, g in zip(kernel_rows, good) if g)
     return rx, lx, found
 

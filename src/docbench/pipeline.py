@@ -163,31 +163,36 @@ def _plan_pages(pages: Iterable[PagePlan], config: RunConfig,
 def resolve_output(
     unit: EvaluationUnit,
     config: RunConfig,
-    cache: dict[Path, dict[str, ExtractionRecord | AdapterError]] | None = None,
+    cache: dict[str, dict[str, ExtractionRecord | AdapterError] | None] | None = None,
 ) -> tuple[ExtractionRecord | None, str]:
     """Locate and parse the tool's output for a unit.
 
     Returns (record, status). The record is None unless status is 'scored'.
-    The file is read once for every label of the run; with a cache, once per
-    path, and the cache keeps each label's record or AdapterError. A file
-    that does not parse is logged once, when it is read. Document-scope
-    output is restricted to the items this unit's page-level ground truth
-    covers.
+    The file is read once for every label of the run. A cache maps each
+    output file's name relative to the output root to its records by label
+    (each an ExtractionRecord or AdapterError), or to None when the file is
+    missing, so a file is looked up and read at most once while the cache
+    lives. A file that does not parse is logged once, when it is read.
+    Document-scope output is restricted to the items this unit's page-level
+    ground truth covers.
     """
     adapter = config.adapter
-    path = Path(config.output_root) / adapter.output_path(
-        unit.key.document_id, unit.key.page_index)
-    records = cache.get(path) if cache is not None else None
-    fresh = records is None
+    name = adapter.output_path(unit.key.document_id, unit.key.page_index)
+    fresh = cache is None or name not in cache
     if fresh:
-        if not path.is_file():
-            return None, STATUS_MISSING
-        records = read_records(path, adapter, config.labels)
+        path = Path(config.output_root, name)
+        records = (read_records(path, adapter, config.labels)
+                   if path.is_file() else None)
         if cache is not None:
-            cache[path] = records
+            cache[name] = records
+    else:
+        records = cache[name]
+    if records is None:
+        return None, STATUS_MISSING
     record = records.get(unit.label)
     if record is None:  # a label outside config.labels
-        record = read_records(path, adapter, [unit.label])[unit.label]
+        record = read_records(Path(config.output_root, name), adapter,
+                              [unit.label])[unit.label]
     if isinstance(record, AdapterError):
         if isinstance(record, PathTypeError):
             logger.warning("unreadable tool output for %s/%s: %s",

@@ -449,6 +449,7 @@ MALFORMED_ADAPTERS = {
     "positional field": {"path_template": "{0}.txt"},
     "page under document scope": {"scope": "document",
                                   "path_template": "{doc}_{page}.txt"},
+    "unknown key": {"selector": {"title": "1"}},
 }
 
 

@@ -126,6 +126,15 @@ def test_adapter_config_load_errors(tmp_path: Path):
             load_adapter_config(path)
 
 
+def test_adapter_config_unknown_key_is_named(tmp_path: Path):
+    # a misspelt "selectors" would leave every label a selector miss
+    path = tmp_path / "adapter.json"
+    path.write_text(json.dumps({"tool": "t", "format": "text",
+                                "selector": {"title": "1"}}), encoding="utf-8")
+    with pytest.raises(ConfigError, match="'selector'"):
+        load_adapter_config(path)
+
+
 TEI_LIKE = """<TEI xmlns="http://example.org/ns">
   <teiHeader>
     <titleStmt><title>Deep Parsing</title></titleStmt>
@@ -473,7 +482,14 @@ def _restrict_token(rng) -> str:
                    for _ in range(rng.randint(1, 4)))
 
 
-def test_restrict_units_matches_window_oracle():
+def test_restrict_units_matches_window_oracle(monkeypatch):
+    # every kernel through numpy, then none
+    for cells in (0, 1 << 40):
+        monkeypatch.setattr(metrics, "_SMALL_CELLS", cells)
+        _check_restrict_units_against_window_oracle()
+
+
+def _check_restrict_units_against_window_oracle():
     import random
     rng = random.Random(20231014)
     thresholds = (0.0, 0.5, 0.7, 0.8, 0.9, 1.0)

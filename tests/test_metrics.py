@@ -33,6 +33,10 @@ EDGE_ALPHABET = ALPHABET[:6] + "\U0001d400\U0001f600é"
 FOLD_ALPHABET = "aeAE\u0301\u00df\u03a3\u03c2\u0130\u1100\u1161\u11a8\U0001d400\U0001f600"
 
 
+# metrics._SMALL_CELLS patched to send every kernel through numpy, then none
+REGIMES = (0, 1 << 40)
+
+
 def _random_word(rng: random.Random, max_len: int = 12) -> str:
     return "".join(rng.choice(ALPHABET) for _ in range(rng.randint(0, max_len)))
 
@@ -428,7 +432,13 @@ def _variant(rng: random.Random, word: str) -> str:
                        unicodedata.normalize("NFD", word)))
 
 
-def test_score_document_precision_recall_match_oracles():
+def test_score_document_precision_recall_match_oracles(monkeypatch):
+    for cells in REGIMES:
+        monkeypatch.setattr(metrics, "_SMALL_CELLS", cells)
+        _check_precision_recall_against_oracles()
+
+
+def _check_precision_recall_against_oracles():
     rng = random.Random(2001)
     thresholds = (0.0, 0.5, 0.7, 0.9, 1.0)
     shapes = set()
@@ -467,20 +477,88 @@ def test_score_document_precision_recall_match_oracles():
 
 
 @pytest.mark.parametrize("cost", (1, 2))
-def test_score_document_threshold_is_inclusive_on_every_path(cost: int):
+def test_score_document_threshold_is_inclusive_on_every_path(monkeypatch, cost: int):
     # ratio("ab", "ac") = 0.5 exactly: as a lone row, and as a lone
     # ground-truth token that reaches the lane of a twin ("ab")
     ab_ac = 1 - edit_distance("ab", "ac", cost) / 4
-    for extracted, gt in ((["ab"], ["ac"]), (["ab", "zz"], ["ac", "ab"])):
-        for threshold in (ab_ac, ab_ac + 1e-7):
-            config = MatchConfig(threshold=threshold, substitution_cost=cost)
-            expected = prf_bruteforce(matrix_reference(extracted, gt, cost), threshold)
-            scores = score_document(extracted, gt, config)
-            assert (scores.precision, scores.recall) == expected[:2]
-    at = score_document(["ab"], ["ac"], MatchConfig(threshold=0.5))
-    assert (at.precision, at.recall) == (1.0, 1.0)
-    above = score_document(["ab"], ["ac"], MatchConfig(threshold=0.5000001))
-    assert (above.precision, above.recall) == (0.0, 0.0)
+    for cells in REGIMES:
+        monkeypatch.setattr(metrics, "_SMALL_CELLS", cells)
+        for extracted, gt in ((["ab"], ["ac"]), (["ab", "zz"], ["ac", "ab"])):
+            for threshold in (ab_ac, ab_ac + 1e-7):
+                config = MatchConfig(threshold=threshold, substitution_cost=cost)
+                expected = prf_bruteforce(matrix_reference(extracted, gt, cost),
+                                          threshold)
+                scores = score_document(extracted, gt, config)
+                assert (scores.precision, scores.recall) == expected[:2]
+        at = score_document(["ab"], ["ac"], MatchConfig(threshold=0.5))
+        assert (at.precision, at.recall) == (1.0, 1.0)
+        above = score_document(["ab"], ["ac"], MatchConfig(threshold=0.5000001))
+        assert (above.precision, above.recall) == (0.0, 0.0)
+
+
+def _kernel_passes(monkeypatch) -> list[int]:
+    """Patch _lane_ratios to record the rows of each numpy kernel pass."""
+    passes = []
+    lane_ratios = metrics._lane_ratios
+
+    def counting(ex, gx, cost):
+        passes.append(len(ex))
+        return lane_ratios(ex, gx, cost)
+
+    monkeypatch.setattr(metrics, "_lane_ratios", counting)
+    return passes
+
+
+def test_score_document_matches_oracles_around_the_small_cutoff(monkeypatch):
+    # kernel rows x lanes at one below, at and one above _SMALL_CELLS: the
+    # extracted tokens are distinct and none has a twin once casefolded and
+    # NFC-normalized, so every one of them is a kernel row
+    passes = _kernel_passes(monkeypatch)
+    rng = random.Random(2014)
+    cutoff = metrics._SMALL_CELLS
+    regimes = set()
+    for cells in (cutoff - 1, cutoff, cutoff + 1):
+        rows = next(r for r in (5, 4, 3, 2, 1) if cells % r == 0)
+        gt = [_fold_word(rng, rng.randint(1, 5)) for _ in range(cells // rows)]
+        extracted: list[str] = []
+        while len(extracted) < rows:  # a near miss of a lane, or noise
+            word = rng.choice(gt)
+            at = rng.randrange(len(word))
+            word = (word[:at] + rng.choice(FOLD_ALPHABET) + word[at + 1:]
+                    if len(extracted) % 2 else _fold_word(rng, 5))
+            prepared = {_prepared(t) for t in extracted + gt}
+            if _prepared(word) not in prepared:
+                extracted.append(word)
+        ex_p = [_prepared(t) for t in extracted]
+        gt_p = [_prepared(t) for t in gt]
+        for cost in (1, 2):
+            for threshold in (0.0, 0.7, 1.0):
+                config = MatchConfig(threshold=threshold, substitution_cost=cost,
+                                     case_sensitive=False, normalize_nfc=True)
+                passes.clear()
+                scores = score_document(extracted, gt, config)
+                expected = prf_bruteforce(matrix_reference(ex_p, gt_p, cost),
+                                          threshold)
+                assert (scores.precision, scores.recall) == expected[:2], \
+                    (cells, cost, threshold)
+                assert passes == ([rows] if cells >= cutoff else [])
+                regimes.add((cells >= cutoff, 0 < expected[0] < 1))
+    assert regimes >= {(False, True), (True, True)}
+
+
+def test_small_unit_runs_no_numpy_kernel(monkeypatch):
+    passes = _kernel_passes(monkeypatch)
+
+    def refuse(*args):
+        raise AssertionError("_lane_ones called below the cutoff")
+
+    monkeypatch.setattr(metrics, "_lane_ones", refuse)
+    for cost in (1, 2):
+        config = MatchConfig(substitution_cost=cost)
+        scores = score_document(["Deep", "Unsupervisd", "Parsng"],
+                                ["Deep", "Unsupervised", "Parsing", "of"], config)
+        assert (scores.precision, scores.recall) == (1.0, 0.75)
+    assert passes == []
 
 
 def test_kernel_runs_only_for_tokens_without_an_exact_twin(monkeypatch):
@@ -562,6 +640,7 @@ def test_score_document_matches_oracles_across_row_blocks(monkeypatch, cost: int
         return lane_ones(vectors, *args)
 
     monkeypatch.setattr(metrics, "_lane_ones", counting)
+    monkeypatch.setattr(metrics, "_SMALL_CELLS", 0)  # the numpy regime's blocks
     config = MatchConfig(substitution_cost=cost)
     scores = score_document(extracted, gt, config)
     expected = prf_bruteforce(matrix_reference(extracted, gt, cost), config.threshold)

@@ -752,6 +752,43 @@ def test_each_output_file_is_read_once_in_both_scopes(golden_dir: Path,
         STATUS_SCORED: 8, STATUS_MISSING: 4, STATUS_ERROR: 4}
 
 
+def test_each_output_file_is_looked_up_once_per_document(golden_dir: Path,
+                                                         tmp_path: Path,
+                                                         monkeypatch):
+    # The null tool has no output file, so a missing file is looked up once
+    # for a page's two or three labels; the third document of the document
+    # scope corpus has none for its four units.
+    runs = {
+        "page": _golden_config(golden_dir, "partial"),
+        "page, no output": _golden_config(golden_dir, "null"),
+        "document": RunConfig(**_doc_scope_corpus(tmp_path)),
+    }
+    is_file, read = Path.is_file, pipeline.read_records
+    for scope, config in runs.items():
+        looked: Counter = Counter()
+        parsed: Counter = Counter()
+
+        def counted_is_file(path):
+            if path.parent == Path(config.output_root):
+                looked[path.name] += 1
+            return is_file(path)
+
+        def counted_read(path, adapter, labels):
+            parsed[path.name] += 1
+            return read(path, adapter, labels)
+
+        monkeypatch.setattr(Path, "is_file", counted_is_file)
+        monkeypatch.setattr(pipeline, "read_records", counted_read)
+        results = list(evaluate_run(config))
+        monkeypatch.undo()
+        names = {config.adapter.output_path(r.key.document_id, r.key.page_index)
+                 for r in results}
+        assert len(names) < len(results), scope
+        assert looked == Counter(names), scope
+        assert parsed == Counter(name for name in names
+                                 if (Path(config.output_root) / name).is_file())
+
+
 def _one_page_corpus(root: Path, tokens: dict[str, str]) -> Path:
     """Ground truth for page 2101.00000_0: one token per label."""
     gt_root = root / "gt"
