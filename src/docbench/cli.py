@@ -149,8 +149,8 @@ def _validate_gt_root(args: argparse.Namespace, findings: list[str]) -> None:
     for path in sorted(root.rglob("*.txt")):
         try:
             parse_page_key(path.name, args.pattern)
-        except KeyParseError as exc:
-            findings.append(f"{path}: {exc}")
+        except KeyParseError as exc:  # names the file by repr, printable
+            findings.append(f"{path.parent}: {exc}")
             continue
         page = parse_gt_page(path, vocabulary, args.pattern, strict=False)
         for issue in page.issues:

@@ -15,6 +15,7 @@ import functools
 import json
 import logging
 import math
+import os
 import re
 import unicodedata
 from dataclasses import dataclass
@@ -176,11 +177,17 @@ def _compiled_key_pattern(pattern: str) -> re.Pattern[str]:
 
 def parse_page_key(filename: str | Path, pattern: str = DEFAULT_KEY_PATTERN) -> PageKey:
     """Derive (document id, page index) from an annotation filename."""
-    name = Path(filename).name
+    name = os.path.basename(filename)
     match = _compiled_key_pattern(pattern).search(name)
     if not match:
         raise KeyParseError(f"filename does not match key pattern: {name!r}")
-    return PageKey(match.group("doc"), int(match.group("page")))
+    document_id = match.group("doc")
+    try:  # a byte the filesystem name held that is not UTF-8
+        document_id.encode("utf-8")
+    except UnicodeEncodeError:
+        raise KeyParseError(f"document id of {name!r} is not valid UTF-8, "
+                            "so no journal can hold it") from None
+    return PageKey(document_id, int(match.group("page")))
 
 
 def parse_gt_page(
@@ -195,9 +202,9 @@ def parse_gt_page(
     Lenient mode (default) skips malformed lines and records them as issues
     on the returned page; strict mode raises on the first problem.
     """
-    path = Path(path)
-    key = parse_page_key(path.name, pattern)
-    data = path.read_bytes()
+    key = parse_page_key(path, pattern)
+    with open(path, "rb") as handle:
+        data = handle.read()
     issues: list[ParseIssue] = []
     try:
         text = data.decode("utf-8")

@@ -8,7 +8,9 @@ split tokens. Formats differ only in what a selector means:
   xml    a '/'-separated path of element local names (namespace-ignoring),
          matched as descendants of the root; each matched element is one
          item, its text content concatenated in document order. Selectors
-         starting with '.' or '/' pass through as raw ElementPath.
+         starting with '.' pass through as raw ElementPath. An element search
+         cannot take an absolute path, so a selector starting with '/', like
+         one ElementPath cannot compile, is refused when the config loads.
   json   a '.'-separated path of object keys; lists encountered along the
          way are mapped over, so 'authors.name' visits every author. The
          path must end at a string, a number, or a list of those; each leaf
@@ -25,8 +27,10 @@ from __future__ import annotations
 import csv
 import io
 import json
+import re
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 from typing import Iterable
 
@@ -104,6 +108,10 @@ class AdapterConfig:
                     f"selector {selector!r} is mapped to both "
                     f"{seen[selector]!r} and {label!r}")
             seen[selector] = label
+        # Each xml selector's ElementPath path, built and compiled once.
+        object.__setattr__(self, "_xml_paths", {
+            selector: _xml_path(label, selector)
+            for selector, label in seen.items()} if self.format == "xml" else {})
         fields = {"doc": "1401.0001"}  # a sample document id
         if self.scope == "page":
             fields["page"] = 0
@@ -158,19 +166,46 @@ def load_adapter_config(path: str | Path) -> AdapterConfig:
     )
 
 
-def _xml_element_path(selector: str) -> str:
-    if selector.startswith((".", "/")):
-        return selector
-    parts = [p for p in selector.split("/") if p]
-    if not parts:
-        raise ConfigError("empty xml selector")
-    return ".//" + "/".join(
-        p if p.startswith("{") or p == "*" else "{*}" + p for p in parts)
+# A selector that ElementPath reads as one tag name (no path, wildcard,
+# namespace, predicate or leading '.'); read_records matches it by local name.
+_XML_NAME = re.compile(r"[^./{}*\[\]()@!=\s][^/{}*\[\]()@!=\s]*")
 
 
-def _xml_items(root: ET.Element, selector: str) -> list[str] | None:
-    matches = root.findall(_xml_element_path(selector))
-    return [" ".join(element.itertext()) for element in matches] or None
+def _xml_path(label: str, selector: str) -> str | None:
+    """The ElementPath path of an xml selector, checked to compile; None for
+    a plain name."""
+    if _XML_NAME.fullmatch(selector):
+        return None
+    path = selector
+    if not selector.startswith((".", "/")):
+        parts = [p for p in selector.split("/") if p]
+        if not parts:
+            raise ConfigError(f"xml selector of {label!r} is empty")
+        path = ".//" + "/".join(
+            p if p.startswith("{") or p == "*" else "{*}" + p for p in parts)
+    try:
+        ET.Element("_").findall(path)
+    except (KeyError, SyntaxError, TypeError) as exc:
+        raise ConfigError(f"xml selector {selector!r} of {label!r} is not a "
+                          f"valid element path: {exc}") from None
+    return path
+
+
+def _xml_select(root: ET.Element, paths: dict[str, str | None]):
+    """A select function over one parsed tree. A plain name reads the
+    elements of that local name, bucketed in one walk of the tree that skips
+    the root, in document order: what ElementPath's './/{*}name' finds."""
+    named: dict[str, list[ET.Element]] = {}
+    walk = root.iter()
+    next(walk)
+    for element in walk:
+        named.setdefault(element.tag.rpartition("}")[2], []).append(element)
+
+    def select(selector: str) -> list[str] | None:
+        path = paths[selector]
+        found = named.get(selector, ()) if path is None else root.findall(path)
+        return [" ".join(element.itertext()) for element in found] or None
+    return select
 
 
 def _json_leaves(value, trail: str) -> list[str]:
@@ -263,10 +298,11 @@ def read_records(
     does not parse gives its AdapterError for every label, and a JSON path
     that ends at an unusable value its PathTypeError for that label only;
     the caller names the file.
-    A bad selector or line rule raises ConfigError.
+    A bad line rule raises ConfigError; AdapterConfig refuses a bad xml
+    selector.
     """
-    path = Path(path)
-    data = path.read_bytes()
+    with open(path, "rb") as handle:
+        data = handle.read()
     try:
         text, flags = data.decode("utf-8"), ()
     except UnicodeDecodeError:
@@ -274,15 +310,15 @@ def read_records(
     selectors = adapter.selector_map
     try:
         if adapter.format == "xml":
-            tree, select = ET.fromstring(text), _xml_items
+            select = _xml_select(ET.fromstring(text), adapter._xml_paths)
         elif adapter.format == "json":
-            tree, select = json.loads(text), _json_items
+            select = partial(_json_items, json.loads(text))
         elif adapter.format == "csv":
             # The table is the 'table' label's item set whatever it maps to.
-            tree, select = _csv_rows(text), lambda rows, _: rows
+            select = partial(lambda rows, _: rows, _csv_rows(text))
             selectors = {"table": ""}
         else:
-            tree, select = _text_lines(text), _line_items
+            select = partial(_line_items, _text_lines(text))
     except (ET.ParseError, json.JSONDecodeError, csv.Error) as exc:
         error = {"xml": XmlParseError, "json": JsonParseError,
                  "csv": CsvParseError}[adapter.format]
@@ -291,7 +327,7 @@ def read_records(
     for label in labels:
         selector = selectors.get(label)
         try:
-            items = None if selector is None else select(tree, selector)
+            items = None if selector is None else select(selector)
         except PathTypeError as exc:
             records[label] = exc
             continue

@@ -321,16 +321,18 @@ def _evaluate_documents(pages: list[PagePlan], config: RunConfig,
             future.cancel()
 
 
+# json.dumps(s, ensure_ascii=False) for a str, with one shared encoder.
+_encode = json.JSONEncoder(ensure_ascii=False).encode
+
+
 def unit_result_to_line(result: UnitResult) -> str:
     """One journal line; score fields carry exactly six decimals."""
     s = result.scores
     return (
         '{"doc":%s,"page":%d,"label":%s,"status":%s,'
         '"p":%.6f,"r":%.6f,"f1":%.6f,"acc":%.6f,"m":%d,"n":%d}' % (
-            json.dumps(result.key.document_id, ensure_ascii=False),
-            result.key.page_index,
-            json.dumps(result.label, ensure_ascii=False),
-            json.dumps(result.status, ensure_ascii=False),
+            _encode(result.key.document_id), result.key.page_index,
+            _encode(result.label), _encode(result.status),
             s.precision, s.recall, s.f1, s.accuracy, s.m, s.n,
         ))
 

@@ -133,6 +133,42 @@ def test_index_command(golden_dir: Path, tmp_path: Path):
     assert len(payload["entries"]) == 5
 
 
+
+def test_document_id_that_utf8_cannot_encode_is_skipped(tmp_path: Path):
+    """A filename byte that is not UTF-8 reaches the document id as a
+    surrogate, which no journal or index can hold: the file is skipped."""
+    gt_root = tmp_path / "gt"
+    gt_root.mkdir()
+    line = b"Deep\t0\t0\t1\t1\t0\t0\t0\tF\ttitle\n"
+    (gt_root / "good_0.txt").write_bytes(line)
+    with open(os.path.join(os.fsencode(gt_root), b"doc\xff_0.txt"), "wb") as f:
+        f.write(line)
+    adapter = tmp_path / "adapter.json"
+    adapter.write_text('{"tool": "t", "format": "text", "selectors": '
+                       '{"title": "1"}}', encoding="utf-8")
+    pattern = ["--pattern", r"(?P<doc>.+)_(?P<page>\d+)\.txt$"]
+    # A strict stdout, as under a UTF-8 locale, refuses to print a surrogate.
+    env = {"PYTHONIOENCODING": "utf-8:strict"}
+    index = tmp_path / "index.json"
+    proc = _run("index", "--gt-root", str(gt_root), "--out", str(index),
+                *pattern, env=env)
+    assert (proc.returncode, "Traceback" in proc.stderr) == (0, False)
+    assert "[WARN] skipped 1 files" in proc.stdout
+    assert [entry["doc"] for entry in json.loads(
+        index.read_text(encoding="utf-8"))["entries"]] == ["good"]
+    proc = _run("validate", "--gt-root", str(gt_root), *pattern, env=env)
+    assert (proc.returncode, "Traceback" in proc.stderr) == (3, False)
+    assert proc.stdout.count("[FINDING]") == 1
+    assert "not valid UTF-8" in proc.stdout
+    journal = tmp_path / "j.jsonl"
+    proc = _run("eval", "--gt-root", str(gt_root), "--tool-output",
+                str(tmp_path), "--adapter-config", str(adapter), "--journal",
+                str(journal), "--labels", "title", *pattern, env=env)
+    assert (proc.returncode, "Traceback" in proc.stderr) == (0, False)
+    assert [json.loads(line).get("doc") for line in
+            journal.read_text(encoding="utf-8").splitlines()] == [None, "good"]
+
+
 def test_gt_root_env_override(golden_dir: Path, tmp_path: Path):
     out = tmp_path / "index.json"
     proc = _run("index", "--out", str(out),
@@ -450,6 +486,9 @@ MALFORMED_ADAPTERS = {
     "page under document scope": {"scope": "document",
                                   "path_template": "{doc}_{page}.txt"},
     "unknown key": {"selector": {"title": "1"}},
+    "absolute xml selector": {"format": "xml", "selectors": {"title": "/title"}},
+    "unclosed xml predicate": {"format": "xml",
+                               "selectors": {"title": ".//title["}},
 }
 
 

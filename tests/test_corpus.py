@@ -129,6 +129,9 @@ def test_parse_page_key_failures():
         parse_page_key("notes.txt")
     with pytest.raises(KeyParseError):
         parse_page_key("readme_1.txt")
+    # the surrogate a filename byte that is not UTF-8 decodes to
+    with pytest.raises(KeyParseError, match="not valid UTF-8"):
+        parse_page_key("doc\udcff_0.txt", r"(?P<doc>.+)_(?P<page>\d+)\.txt$")
 
 
 def test_custom_key_pattern_dotnet_syntax():

@@ -1,12 +1,15 @@
 from __future__ import annotations
 
 import json
+import random
 import unicodedata
+import xml.etree.ElementPath as ElementPath
+import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import pytest
 
-from docbench import metrics
+from docbench import interchange, metrics
 from docbench.errors import (ConfigError, CsvParseError, JsonParseError,
                              PathTypeError, XmlParseError)
 from docbench.interchange import (LOSSY_DECODE, SELECTOR_MISS, AdapterConfig,
@@ -206,6 +209,77 @@ def test_xml_adapter_rejects_malformed(tmp_path: Path):
     path.write_text("<a><b></a>", encoding="utf-8")
     config = AdapterConfig("grob", "xml", {"title": "b"})
     assert isinstance(_record(path, config, "title"), XmlParseError)
+
+
+def test_bad_xml_selector_is_a_config_error():
+    for selector in ("/title", "//title", ".//title[", "title[", "title[0]",
+                     "title]", "title(", "@type", ".//p:title", ""):
+        with pytest.raises(ConfigError, match="'title'"):
+            AdapterConfig("grob", "xml", {"title": selector})
+
+
+WALK_NAMES = ("title", "p", "sec", "a.b", "x-y")
+
+
+def _random_xml(rng: random.Random) -> str:
+    """A tree of WALK_NAMES elements, some nested in their own name, under a
+    root that may bear one of them: unprefixed, prefixed and default
+    namespace tags mixed, with text, tail text and empty elements."""
+    def words() -> str:
+        return " ".join(rng.choice(("alpha", "b", "c d", "\u00e9t\u00e9", ""))
+                        for _ in range(rng.randint(0, 2)))
+
+    def element(depth: int) -> str:
+        name = rng.choice(WALK_NAMES)
+        form = rng.randrange(4)
+        tag = f"{rng.choice('pq')}:{name}" if form == 1 else name
+        attributes = (' xmlns="urn:d"' if form == 2 else
+                      ' xmlns=""' if form == 3 else "")
+        if rng.random() < 0.3:
+            attributes += ' type="main"'
+        if depth > 3 or rng.random() < 0.25:
+            return f"<{tag}{attributes}/>" + words()
+        children = "".join(element(depth + 1)
+                           for _ in range(rng.randint(0, 3)))
+        return f"<{tag}{attributes}>{words()}{children}</{tag}>{words()}"
+
+    root = rng.choice(WALK_NAMES)
+    body = "".join(element(1) for _ in range(rng.randint(0, 4)))
+    return (f'<{root} xmlns:p="urn:p" xmlns:q="urn:q">'
+            f"{words()}{body}</{root}>")
+
+
+def test_xml_walk_matches_elementpath(monkeypatch):
+    """A plain name is read from one walk of the tree, which finds what
+    ElementPath's './/{*}name' finds; every other selector runs ElementPath."""
+    paths = {"*": ".//*", "sec/title": ".//{*}sec/{*}title",
+             "{urn:p}title": ".//{urn:p}title",
+             "title[@type='main']": ".//{*}title[@type='main']",
+             ".//title": ".//title", ".//{urn:d}p/..": ".//{urn:d}p/.."}
+    # A prefix is resolved by the parser, so no local name holds one.
+    plain = (*WALK_NAMES, "p:title")
+    configs = [AdapterConfig("grob", "xml", {"title": selector})
+               for selector in (*plain, *paths)]
+    findall = ElementPath.findall
+    calls: list[str] = []
+
+    def counted(element, path, namespaces=None):
+        calls.append(path)
+        return findall(element, path, namespaces)
+
+    monkeypatch.setattr(ElementPath, "findall", counted)
+    rng = random.Random(20231)
+    for _ in range(300):
+        root = ET.fromstring(_random_xml(rng))
+        for config in configs:
+            selector = config.selector_map["title"]
+            calls.clear()
+            got = interchange._xml_select(root, config._xml_paths)(selector)
+            path = paths.get(selector, ".//{*}" + selector)
+            assert calls == ([] if selector in plain else [path])
+            expected = [" ".join(element.itertext())
+                        for element in findall(root, path)]
+            assert got == (expected or None), selector
 
 
 JSON_DOC = {

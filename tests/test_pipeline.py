@@ -233,6 +233,33 @@ def test_unit_result_line_shape_and_rounding():
     assert '"acc":1.000000' in line
 
 
+
+def _json_dumps_line(result: UnitResult) -> str:
+    """The journal line as json.dumps writes its strings: the reference."""
+    s = result.scores
+    return (
+        '{"doc":%s,"page":%d,"label":%s,"status":%s,'
+        '"p":%.6f,"r":%.6f,"f1":%.6f,"acc":%.6f,"m":%d,"n":%d}' % (
+            json.dumps(result.key.document_id, ensure_ascii=False),
+            result.key.page_index,
+            json.dumps(result.label, ensure_ascii=False),
+            json.dumps(result.status, ensure_ascii=False),
+            s.precision, s.recall, s.f1, s.accuracy, s.m, s.n))
+
+
+def test_unit_result_line_encodes_strings_as_json_dumps():
+    awkward = ('say "hi"', "back\\slash\\", "\x00\x01\x1f\x7f\t\n\r\b\f",
+               "line\u2028sep\u2029", "\U0001d518\U0001f600", "\u0661\u0662\uff13",
+               "caf\u00e9 e\u0301", "/<>&'", "")
+    scores = DocumentScores(0.5, 0.25, 1.0 / 3.0, 1.0, 2, 3)
+    for text in awkward:
+        for document_id, label, status in ((text or "d", "title", STATUS_SCORED),
+                                           ("1401.0001", text, STATUS_MISSING),
+                                           ("1401.0001", "table", text)):
+            result = UnitResult(PageKey(document_id, 7), label, status, scores)
+            assert unit_result_to_line(result) == _json_dumps_line(result)
+
+
 def test_journal_header_shape(golden_dir: Path):
     config = _golden_config(golden_dir, "partial")
     payload = json.loads(journal_header(config))
