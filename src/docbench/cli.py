@@ -53,13 +53,19 @@ def _parse_sample(raw: str) -> tuple[str, str]:
     return from_month.strip(), to_month.strip()
 
 
+def _printable(text: str) -> str:
+    """text with each filename byte that is not UTF-8 shown as \\xNN, so a
+    strict UTF-8 stdout can print it."""
+    return os.fsencode(text).decode("utf-8", "backslashreplace")
+
+
 def cmd_index(args: argparse.Namespace) -> int:
     index = index_corpus(args.gt_root, _vocabulary(args), args.pattern)
     save_index(index, args.out)
-    print(f"[INFO] indexed {len(index)} pages under {args.gt_root}")
+    print(f"[INFO] indexed {len(index)} pages under {_printable(args.gt_root)}")
     if index.skipped_files:
         print(f"[WARN] skipped {len(index.skipped_files)} files with "
-              "unrecognized names")
+              "unrecognized or non-UTF-8 names")
     for label in sorted(index.label_presence):
         print(f"[INFO]   {label}: {len(index.label_presence[label])} pages")
     return EXIT_OK
@@ -102,7 +108,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     scored = counts.get(STATUS_SCORED, 0)
     print(f"[INFO] {total} units evaluated ({scored} scored, "
           f"{total - scored} without usable tool output)")
-    print(f"[INFO] journal written to {args.journal}")
+    print(f"[INFO] journal written to {_printable(args.journal)}")
     return EXIT_OK
 
 
@@ -127,7 +133,7 @@ def cmd_report(args: argparse.Namespace) -> int:
     text = emit_report(rows, summaries, fmt=args.format,
                        out=args.out or None, stamp=stamp, variant=args.variant)
     if args.out:
-        print(f"[INFO] report written to {args.out}")
+        print(f"[INFO] report written to {_printable(args.out)}")
     else:
         sys.stdout.write(text)
     return EXIT_OK
@@ -137,7 +143,7 @@ def cmd_chart(args: argparse.Namespace) -> int:
     rows, stamp = _collect_rows(args)
     emit_bar_chart(rows, args.metric, out=args.out, stamp=stamp,
                    variant=args.variant)
-    print(f"[INFO] chart written to {args.out}")
+    print(f"[INFO] chart written to {_printable(args.out)}")
     return EXIT_OK
 
 
@@ -148,8 +154,8 @@ def _validate_gt_root(args: argparse.Namespace, findings: list[str]) -> None:
     vocabulary = _vocabulary(args)
     for path in sorted(root.rglob("*.txt")):
         try:
-            parse_page_key(path.name, args.pattern)
-        except KeyParseError as exc:  # names the file by repr, printable
+            parse_page_key(path, args.pattern)
+        except KeyParseError as exc:  # names the file by repr
             findings.append(f"{path.parent}: {exc}")
             continue
         page = parse_gt_page(path, vocabulary, args.pattern, strict=False)
@@ -204,7 +210,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
     else:
         _validate_adapter_config(args.adapter_config, findings)
     for finding in findings:
-        print(f"[FINDING] {finding}")
+        print(f"[FINDING] {_printable(finding)}")
     if findings:
         print(f"[INFO] {len(findings)} findings")
         return EXIT_FINDINGS

@@ -176,18 +176,23 @@ def _compiled_key_pattern(pattern: str) -> re.Pattern[str]:
 
 
 def parse_page_key(filename: str | Path, pattern: str = DEFAULT_KEY_PATTERN) -> PageKey:
-    """Derive (document id, page index) from an annotation filename."""
+    """Derive (document id, page index) from an annotation filename.
+
+    The whole of filename, directories too, must be valid UTF-8: a byte the
+    filesystem name held that is not reaches it as a surrogate, which no
+    index (it holds the path) or journal (the document id) can hold.
+    """
     name = os.path.basename(filename)
     match = _compiled_key_pattern(pattern).search(name)
     if not match:
         raise KeyParseError(f"filename does not match key pattern: {name!r}")
-    document_id = match.group("doc")
-    try:  # a byte the filesystem name held that is not UTF-8
-        document_id.encode("utf-8")
+    path = os.fspath(filename)
+    try:
+        path.encode("utf-8")
     except UnicodeEncodeError:
-        raise KeyParseError(f"document id of {name!r} is not valid UTF-8, "
-                            "so no journal can hold it") from None
-    return PageKey(document_id, int(match.group("page")))
+        raise KeyParseError(f"path {path!r} is not valid UTF-8, so no index "
+                            "or journal can hold it") from None
+    return PageKey(match.group("doc"), int(match.group("page")))
 
 
 def parse_gt_page(
@@ -258,8 +263,8 @@ def index_corpus(
     """Walk a corpus tree and record which labels occur on which pages.
 
     This is a fast pass over the label field only; it does not validate
-    coordinates or colours. Files whose names do not match the key pattern
-    are skipped with a warning.
+    coordinates or colours. Files whose names do not match the key pattern,
+    or whose paths are not valid UTF-8, are skipped with a warning.
     """
     root = Path(root)
     if not root.is_dir():
@@ -269,10 +274,10 @@ def index_corpus(
     skipped: list[str] = []
     for path in sorted(root.rglob("*.txt")):
         try:
-            key = parse_page_key(path.name, pattern)
-        except KeyParseError:
+            key = parse_page_key(path, pattern)
+        except KeyParseError as exc:
             skipped.append(path.name)
-            logger.warning("skipping unrecognized filename: %s", path.name)
+            logger.warning("skipping a ground-truth file: %s", exc)
             continue
         found[key] = path
         with open(path, "rb") as handle:

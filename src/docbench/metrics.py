@@ -11,6 +11,11 @@ Similarity between two strings is the Levenshtein ratio
 where insertions and deletions cost 1 and a substitution costs 2 by default,
 making a substitution exactly as expensive as a delete plus an insert.
 Cost 1 is available as a configuration option.
+
+numpy is imported by the functions that use it, on their first call: the
+similarity matrix, and a unit's kernel pass or match masks from the size
+cutoffs below on. Indexing, validation, reports, charts and units that stay
+below both cutoffs never load it.
 """
 
 from __future__ import annotations
@@ -19,9 +24,10 @@ import unicodedata
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
-from typing import Iterator, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterator, NamedTuple, Sequence
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 EMPTY_EXTRACTION = "EmptyExtraction"
 EMPTY_GROUND_TRUTH = "EmptyGroundTruth"
@@ -124,6 +130,7 @@ def _masks(text: str) -> dict[str, int]:
         for position, char in enumerate(text):
             masks[char] = masks.get(char, 0) | 1 << position
         return masks
+    import numpy as np
     codes = np.frombuffer(text.encode("utf-32-le", "surrogatepass"), dtype="<u4")
     chars = sorted(set(text))  # np.unique's hashing raised peak RSS ~1 MB
     keys = np.fromiter(map(ord, chars), dtype="<u4", count=len(chars))
@@ -212,6 +219,7 @@ def similarity_matrix(
 
     Either side may be empty; the matrix then has a zero dimension.
     """
+    import numpy as np
     ex = [_prepare(t, config) for t in extracted]
     gx = [_prepare(t, config) for t in gt]
     values = np.empty((len(ex), len(gx)), dtype=np.float64)
@@ -242,6 +250,7 @@ def _lane_ratios(ex: list[str], gx: list[str], cost: int) -> Iterator[np.ndarray
     """
     if not ex or not gx:
         return
+    import numpy as np
     gt_len = np.array([len(t) for t in gx], dtype=np.int64)
     lanes, full, starts, masks = _pack(gx)
     nbytes = (lanes.pop() + 7) // 8  # the last entry is the total bit count
@@ -263,6 +272,7 @@ def _lane_ratios(ex: list[str], gx: list[str], cost: int) -> Iterator[np.ndarray
 
 def _lane_ones(vectors: list[int], nbytes: int, lanes: list[int]) -> np.ndarray:
     """Set bits per lane: one row per vector, one column per lane start."""
+    import numpy as np
     raw = b"".join(v.to_bytes(nbytes, "little") for v in vectors)
     bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8).reshape(len(vectors), nbytes),
                          axis=1, bitorder="little")
@@ -282,6 +292,7 @@ def _lane_hits(ex: list[str], gx: list[str], config: MatchConfig) -> list[int]:
     """
     threshold, cost = config.threshold, config.substitution_cost
     if len(ex) * len(gx) >= _SMALL_CELLS:
+        import numpy as np
         hits = []
         for block in _lane_ratios(ex, gx, cost):
             packed = np.packbits(block >= threshold, axis=1, bitorder="little")

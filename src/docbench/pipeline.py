@@ -259,9 +259,12 @@ def _worker_pool(workers: int):
     Its modules are imported here, so a run with one worker never loads
     them. Workers are forked: they inherit the imported modules, so a pool
     starts in milliseconds; only page plans, config and results are pickled.
-    They keep the modules as they were at the fork. They ignore SIGINT,
-    which reaches the whole process group: the parent alone handles an
-    interrupt, and workers finish their task and exit with the pool.
+    They keep the modules as they were at the fork. numpy, which metrics
+    loads only at a unit's first numpy kernel, is imported before the fork:
+    the workers then share its pages, and none pays its import at its first
+    large unit. They ignore SIGINT, which reaches the whole process group:
+    the parent alone handles an interrupt, and workers finish their task
+    and exit with the pool.
     """
     global _pool
     if _pool is not None and _pool[0] != workers:
@@ -271,6 +274,8 @@ def _worker_pool(workers: int):
         import multiprocessing
         import signal
         from concurrent.futures import ProcessPoolExecutor
+
+        import numpy  # noqa: F401  (shared with the forked workers)
         _pool = (workers, ProcessPoolExecutor(
             workers, mp_context=multiprocessing.get_context("fork"),
             initializer=signal.signal, initargs=(signal.SIGINT, signal.SIG_IGN)))

@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from dataclasses import dataclass
 from decimal import ROUND_HALF_EVEN, Decimal
 from pathlib import Path
@@ -69,7 +70,9 @@ class TaskSummary:
 
 
 def _mean(values: Sequence[float]) -> float:
-    return sum(values) / len(values) if values else 0.0
+    # fsum is correctly rounded on every Python version; sum() of floats
+    # compensates from 3.12 on, so its last bits depend on the interpreter.
+    return math.fsum(values) / len(values) if values else 0.0
 
 
 def aggregate(results: Iterable[UnitResult], tool: str = "unknown") -> list[AggregateRow]:

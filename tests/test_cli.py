@@ -169,6 +169,60 @@ def test_document_id_that_utf8_cannot_encode_is_skipped(tmp_path: Path):
             journal.read_text(encoding="utf-8").splitlines()] == [None, "good"]
 
 
+def test_path_that_utf8_cannot_encode_is_skipped(tmp_path: Path):
+    """A non-UTF-8 byte anywhere in a ground-truth path, not only in the
+    document id, skips the file in index and eval and is a finding of
+    validate, all printable on a strict UTF-8 stdout."""
+    gt_root = tmp_path / "gt"
+    (gt_root / "sub").mkdir(parents=True)
+    line = b"Deep\t0\t0\t1\t1\t0\t0\t0\tF\ttitle\n"
+    (gt_root / "1401.0001_main_0.txt").write_bytes(line)
+    root = os.fsencode(gt_root)
+    with open(os.path.join(root, b"1401.0002_m\xffain_0.txt"), "wb") as f:
+        f.write(line + b"bad line\n")
+    os.mkdir(os.path.join(root, b"sub\xfe"))
+    with open(os.path.join(root, b"sub\xfe", b"1401.0003_0.txt"), "wb") as f:
+        f.write(line)
+    env = {"PYTHONIOENCODING": "utf-8:strict"}
+    index = tmp_path / "index.json"
+    proc = _run("index", "--gt-root", str(gt_root), "--out", str(index), env=env)
+    assert (proc.returncode, "Traceback" in proc.stderr) == (0, False)
+    assert "[WARN] skipped 2 files" in proc.stdout
+    assert [entry["doc"] for entry in json.loads(
+        index.read_text(encoding="utf-8"))["entries"]] == ["1401.0001"]
+    proc = _run("validate", "--gt-root", str(gt_root), env=env)
+    assert (proc.returncode, "Traceback" in proc.stderr) == (3, False)
+    assert proc.stdout.count("[FINDING]") == 2
+    assert "m\\udcffain_0.txt' is not valid UTF-8" in proc.stdout  # by repr
+    assert "/sub\\xfe: path" in proc.stdout  # the directory, printed as is
+    adapter = tmp_path / "adapter.json"
+    adapter.write_text('{"tool": "t", "format": "text", "selectors": '
+                       '{"title": "1"}}', encoding="utf-8")
+    journal = tmp_path / "j.jsonl"
+    proc = _run("eval", "--gt-root", str(gt_root), "--tool-output",
+                str(tmp_path), "--adapter-config", str(adapter), "--journal",
+                str(journal), "--labels", "title", env=env)
+    assert (proc.returncode, "Traceback" in proc.stderr) == (0, False)
+    assert [json.loads(line).get("doc") for line in
+            journal.read_text(encoding="utf-8").splitlines()] == [None, "1401.0001"]
+
+
+def test_validate_tool_output_prints_a_non_utf8_path(tmp_path: Path):
+    out = os.path.join(os.fsencode(tmp_path), b"out\xff")
+    os.mkdir(out)
+    with open(os.path.join(out, b"1401.0001_0.json"), "wb") as f:
+        f.write(b'{"title": ')
+    adapter = tmp_path / "adapter.json"
+    adapter.write_text('{"tool": "t", "format": "json", "selectors": '
+                       '{"title": "title"}}', encoding="utf-8")
+    proc = _run("validate", "--tool-output", os.fsdecode(out),
+                "--adapter-config", str(adapter),
+                env={"PYTHONIOENCODING": "utf-8:strict"})
+    assert (proc.returncode, "Traceback" in proc.stderr) == (3, False)
+    assert proc.stdout.count("[FINDING]") == 1
+    assert "out\\xff" in proc.stdout
+
+
 def test_gt_root_env_override(golden_dir: Path, tmp_path: Path):
     out = tmp_path / "index.json"
     proc = _run("index", "--out", str(out),

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import json
+import random
 import re
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -68,6 +70,31 @@ def test_aggregate_counts_and_means():
     assert table.processed == 0
     assert table.f1 == 0.0
     assert table.tool == "mytool"
+
+
+def test_mean_does_not_depend_on_the_interpreters_sum():
+    # Plain float summation in order gives 0.4050000000000001 (CSV 0.41);
+    # the correctly rounded sum, which Python 3.12's sum() also reaches,
+    # gives 0.40499999999999997 (CSV 0.40).
+    values = [0.4, 0.1, 0.1, 0.7, 0.4, 0.6, 0.1, 0.4, 0.2, 0.2,
+              0.2, 0.4, 0.6, 0.2, 0.6, 0.7, 0.7, 0.7, 0.4, 0.4]
+    ordered = 0.0
+    for value in values:
+        ordered += value
+    assert f"{ordered / len(values):.2f}" == "0.41"
+    row, = aggregate([_unit("title", v, page=i) for i, v in enumerate(values)])
+    assert row.f1 == row.f1_detected == 0.40499999999999997
+    csv_cells = emit_report([row], [], fmt="csv").splitlines()[-1].split(",")
+    assert csv_cells[4:] == ["0.40"] * 4
+
+
+def test_aggregate_means_are_the_exact_sum_rounded_once():
+    rng = random.Random(3120)
+    for _ in range(200):
+        values = [rng.choice([rng.random(), round(rng.random(), 2), 1.0])
+                  for _ in range(rng.randint(1, 60))]
+        row, = aggregate([_unit("title", v, page=i) for i, v in enumerate(values)])
+        assert row.f1_detected == float(sum(map(Fraction, values))) / len(values)
 
 
 def test_cumulative_f1_reference_total():
