@@ -43,6 +43,12 @@ _NEW_STYLE_ID_RE = re.compile(r"^(\d{4})\.")
 
 INDEX_FORMAT_VERSION = 1
 
+# str(i) -> i over the box and colour values a DocBank page holds. int(s)
+# equals _SMALL_INTS[s] for every key, so parse_gt_page reads a line's seven
+# numeric fields by lookup; a value outside the table (1024, " 12 ", "007",
+# "1.5", ...) sends its line to parse_gt_record.
+_SMALL_INTS: dict[str, int] = {str(i): i for i in range(1024)}
+
 
 def validate_label(label: str) -> str:
     """Check label syntax (lowercase identifier); returns the label unchanged."""
@@ -127,33 +133,23 @@ def parse_gt_record(
     if nfc:
         text = unicodedata.normalize("NFC", text)
     issues: list[ParseIssue] = []
-    # int() accepts only what int(raw.strip()) does, with the same value, so
-    # a line that passes here is valid; any other is checked field by field,
-    # which names the first bad field and the fractional coordinates.
-    try:
-        x0, y0, x1, y1, r, g, b = map(int, fields[1:8])
-        valid = (x0 <= x1 and y0 <= y1
-                 and 0 <= r <= 255 and 0 <= g <= 255 and 0 <= b <= 255)
-    except ValueError:
-        valid = False
-    if not valid:
-        coords = []
-        for raw, name in zip(fields[1:5], ("x0", "y0", "x1", "y1")):
-            value, issue = _parse_coordinate(raw, name, line_no)
-            coords.append(value)
-            if issue:
-                issues.append(issue)
-        x0, y0, x1, y1 = coords
-        if x0 > x1 or y0 > y1:
-            raise MalformedRecord(f"inverted bbox ({x0},{y0},{x1},{y1})", line_no)
-        for raw, name in zip(fields[5:8], ("R", "G", "B")):
-            try:
-                channel = int(raw.strip())
-            except ValueError:
-                raise MalformedRecord(f"non-integer {name}: {raw!r}",
-                                      line_no) from None
-            if not 0 <= channel <= 255:
-                raise MalformedRecord(f"{name} out of range: {channel}", line_no)
+    coords = []
+    for raw, name in zip(fields[1:5], ("x0", "y0", "x1", "y1")):
+        value, issue = _parse_coordinate(raw, name, line_no)
+        coords.append(value)
+        if issue:
+            issues.append(issue)
+    x0, y0, x1, y1 = coords
+    if x0 > x1 or y0 > y1:
+        raise MalformedRecord(f"inverted bbox ({x0},{y0},{x1},{y1})", line_no)
+    for raw, name in zip(fields[5:8], ("R", "G", "B")):
+        try:
+            channel = int(raw.strip())
+        except ValueError:
+            raise MalformedRecord(f"non-integer {name}: {raw!r}",
+                                  line_no) from None
+        if not 0 <= channel <= 255:
+            raise MalformedRecord(f"{name} out of range: {channel}", line_no)
     label = fields[9].strip()
     if label not in vocabulary:
         raise UnknownLabel(label, line_no)
@@ -220,7 +216,28 @@ def parse_gt_page(
         issues.append(ParseIssue(0, "decode", f"lossy UTF-8 decode: {exc}"))
 
     texts: dict[str, list[str]] = {}
+    small_int = _SMALL_INTS.get
     for line_no, line in enumerate(text.split("\n"), start=1):
+        # A line parse_gt_record accepts with no warning, checked inline with
+        # its numbers read from _SMALL_INTS; every other line, blank or
+        # broken, goes to parse_gt_record, which owns the issue it reports.
+        fields = line.split("\t")
+        if len(fields) >= GT_FIELD_COUNT:
+            token, label = fields[0].strip(), fields[9].strip()
+            x0, y0, x1, y1, r, g, b = map(small_int, fields[1:8])
+            try:
+                valid = (token and label in vocabulary and x0 <= x1 and y0 <= y1
+                         and r < 256 and g < 256 and b < 256)
+            except TypeError:  # a field outside the table, read as None
+                valid = False
+            if valid:
+                if nfc:
+                    token = unicodedata.normalize("NFC", token)
+                if label in texts:
+                    texts[label].append(token)
+                else:
+                    texts[label] = [token]
+                continue
         if not line.strip():
             continue
         try:
@@ -281,13 +298,16 @@ def index_corpus(
             continue
         found[key] = path
         with open(path, "rb") as handle:
-            for raw in handle:
-                fields = raw.decode("utf-8", errors="replace").rstrip("\n").split("\t")
-                if len(fields) < GT_FIELD_COUNT:
-                    continue
-                label = fields[9].strip()
-                if label in vocabulary:
-                    presence.setdefault(label, set()).add(key)
+            text = handle.read().decode("utf-8", errors="replace")
+        # "\n" ends any invalid UTF-8 sequence, so each line decodes here as
+        # it would alone, and as parse_gt_page reads it.
+        labels = set()
+        for line in text.split("\n"):
+            fields = line.split("\t")
+            if len(fields) >= GT_FIELD_COUNT:
+                labels.add(fields[9].strip())
+        for label in labels & vocabulary:
+            presence.setdefault(label, set()).add(key)
     entries = {key: found[key] for key in sorted(found)}
     label_presence = {label: frozenset(keys) for label, keys in sorted(presence.items())}
     return CorpusIndex(entries, label_presence, vocabulary, tuple(skipped))

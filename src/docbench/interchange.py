@@ -143,8 +143,17 @@ class AdapterConfig:
 def load_adapter_config(path: str | Path) -> AdapterConfig:
     try:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"adapter config is not valid UTF-8: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"adapter config is not valid JSON: {exc}") from None
+    # A JSON escape can spell a lone surrogate, which no journal header or
+    # config hash can encode.
+    try:
+        json.dumps(payload, ensure_ascii=False).encode("utf-8")
+    except UnicodeEncodeError as exc:
+        raise ConfigError("adapter config holds a string UTF-8 cannot encode: "
+                          f"{exc.object[exc.start:exc.end]!r}") from None
     if not isinstance(payload, dict):
         raise ConfigError("adapter config must be a JSON object")
     unknown = sorted(set(payload) - set(ADAPTER_KEYS))

@@ -543,6 +543,8 @@ MALFORMED_ADAPTERS = {
     "absolute xml selector": {"format": "xml", "selectors": {"title": "/title"}},
     "unclosed xml predicate": {"format": "xml",
                                "selectors": {"title": ".//title["}},
+    "lone surrogate in tool": {"tool": "t\udcff"},
+    "lone surrogate in template": {"path_template": "{doc}_{page}\ud800.txt"},
 }
 
 
@@ -569,6 +571,23 @@ def test_malformed_adapter_config_is_a_config_error(golden_dir: Path,
     proc = _run("validate", "--adapter-config", str(adapter))
     assert proc.returncode == 3
     assert "Traceback" not in proc.stderr
+    assert proc.stdout.count("[FINDING]") == 1
+
+
+def test_adapter_config_that_is_not_utf8_is_a_config_error(golden_dir: Path,
+                                                          tmp_path: Path):
+    adapter = tmp_path / "adapter.json"
+    adapter.write_bytes(b'{"tool": "t\xff", "format": "text"}')
+    journal = tmp_path / "j.jsonl"
+    args = _eval_args(golden_dir, "partial", journal)
+    args[args.index("--adapter-config") + 1] = str(adapter)
+    proc = _run(*args)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert "not valid UTF-8" in proc.stderr
+    assert not journal.exists()
+    proc = _run("validate", "--adapter-config", str(adapter))
+    assert proc.returncode == 3
     assert proc.stdout.count("[FINDING]") == 1
 
 

@@ -325,11 +325,14 @@ def test_label_presence_layout(golden_dir: Path):
 
 
 # Field values the fuzzed pages draw from, by field position: valid and
-# broken alike.
+# broken alike, on both sides of parse_gt_page's number table ("1023" and
+# "1024"), and values int() reads that the table does not hold ("007").
 _FUZZ_COORDS = ("0", "12", " 12 ", "\u200312", "\x1c7", "1_0", "\u0661\u0662",
                 "0x1f", "12.7", "-0.5", "1e2", "2.5e1", "nan", "inf", "-inf",
-                "1e999", "9" * 5000, "abc", "", "1__0")
-_FUZZ_CHANNELS = ("0", "255", " 7 ", "-1", "256", "1_0", "\u0663", "x", "3.0", "")
+                "1e999", "9" * 5000, "abc", "", "1__0", "1023", "1024", "600",
+                "007", "+5", "-0", "1000000")
+_FUZZ_CHANNELS = ("0", "255", " 7 ", "-1", "256", "1_0", "\u0663", "x", "3.0", "",
+                  "0255", "+7", "-0", "1023")
 _FUZZ_FIELDS = (
     ("w", "cafe\u0301", "caf\u00e9", " padded ", "\U0001d400", "x\u00a0", "", "   "),
     *[_FUZZ_COORDS] * 4,
