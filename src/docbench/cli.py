@@ -12,17 +12,18 @@ import argparse
 import os
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
+from . import __version__
 from .corpus import (DEFAULT_KEY_PATTERN, DEFAULT_LABELS, index_corpus,
                      load_index, parse_gt_page, parse_page_key, save_index)
 from .errors import (AdapterError, ConfigError, DocbenchError, KeyParseError)
-from .interchange import (EXTENSIONS, SELECTOR_MISS, AdapterConfig,
-                          load_adapter_config, read_records)
-from .metrics import MatchConfig
-from .pipeline import (HARNESS_NAME, HARNESS_VERSION, RunConfig, config_hash,
-                       evaluate_run, read_journal, STATUS_SCORED)
-from .report import (CHART_METRICS, aggregate, all_task_summaries,
-                     emit_bar_chart, emit_report)
+
+if TYPE_CHECKING:
+    from .interchange import AdapterConfig
+
+# Each command imports the modules it uses when it runs, so `index` and
+# `validate --gt-root` load corpus and errors alone.
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -72,6 +73,9 @@ def cmd_index(args: argparse.Namespace) -> int:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
+    from .interchange import load_adapter_config
+    from .metrics import MatchConfig
+    from .pipeline import STATUS_SCORED, RunConfig, config_hash, evaluate_run
     if not 0.0 <= args.threshold <= 1.0:
         raise ConfigError(f"threshold must be within [0, 1]: {args.threshold}")
     match = MatchConfig(threshold=args.threshold,
@@ -113,6 +117,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def _collect_rows(args: argparse.Namespace):
+    from .pipeline import HARNESS_NAME, HARNESS_VERSION, read_journal
+    from .report import aggregate
     rows = []
     hashes = []
     for journal in args.journal:
@@ -128,6 +134,7 @@ def _collect_rows(args: argparse.Namespace):
 
 
 def cmd_report(args: argparse.Namespace) -> int:
+    from .report import all_task_summaries, emit_report
     rows, stamp = _collect_rows(args)
     summaries = all_task_summaries(rows, variant=args.variant)
     text = emit_report(rows, summaries, fmt=args.format,
@@ -140,6 +147,7 @@ def cmd_report(args: argparse.Namespace) -> int:
 
 
 def cmd_chart(args: argparse.Namespace) -> int:
+    from .report import emit_bar_chart
     rows, stamp = _collect_rows(args)
     emit_bar_chart(rows, args.metric, out=args.out, stamp=stamp,
                    variant=args.variant)
@@ -164,6 +172,7 @@ def _validate_gt_root(args: argparse.Namespace, findings: list[str]) -> None:
 
 
 def _validate_adapter_config(path: str, findings: list[str]) -> AdapterConfig | None:
+    from .interchange import load_adapter_config
     try:
         return load_adapter_config(path)
     except ConfigError as exc:
@@ -172,6 +181,7 @@ def _validate_adapter_config(path: str, findings: list[str]) -> AdapterConfig | 
 
 
 def _validate_tool_output(args: argparse.Namespace, findings: list[str]) -> None:
+    from .interchange import EXTENSIONS, SELECTOR_MISS, read_records
     if not args.adapter_config:
         raise ConfigError("--tool-output validation needs --adapter-config")
     adapter = _validate_adapter_config(args.adapter_config, findings)
@@ -218,14 +228,23 @@ def cmd_validate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+class _ChartMetrics:
+    """report.CHART_METRICS as --metric's choices, imported when argparse
+    first iterates them: to check a chart's --metric or to print help."""
+
+    def __iter__(self):
+        from .report import CHART_METRICS
+        return iter(CHART_METRICS)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog=HARNESS_NAME,
+        prog="docbench",
         description="Token-level evaluation of PDF extraction output against "
                     "DocBank-style ground truth.",
     )
     parser.add_argument("--version", action="version",
-                        version=f"{HARNESS_NAME} {HARNESS_VERSION}")
+                        version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
     fmt = argparse.ArgumentDefaultsHelpFormatter
@@ -291,7 +310,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_chart = sub.add_parser("chart", formatter_class=fmt, parents=[journals],
                              help="render a grouped SVG bar chart")
-    p_chart.add_argument("--metric", choices=CHART_METRICS, required=True)
+    p_chart.add_argument("--metric", choices=_ChartMetrics(), metavar="METRIC",
+                         required=True, help="one of %(choices)s")
     p_chart.add_argument("--out", required=True, help="SVG output path")
     p_chart.set_defaults(func=cmd_chart)
 

@@ -340,40 +340,59 @@ def sample_by_month(index: CorpusIndex, from_month: str, to_month: str) -> froze
 
 
 def save_index(index: CorpusIndex, path: str | Path) -> None:
-    """Write the index to a versioned JSON cache."""
+    """Write the index to a versioned, compact JSON cache."""
+    labels: dict[PageKey, list[str]] = {key: [] for key in index.entries}
+    for label in sorted(index.label_presence):
+        for key in index.label_presence[label]:
+            if key in labels:
+                labels[key].append(label)
     payload = {
         "format_version": INDEX_FORMAT_VERSION,
         "vocabulary": sorted(index.vocabulary),
-        "entries": [
-            {
-                "doc": key.document_id,
-                "page": key.page_index,
-                "path": str(index.entries[key]),
-                "labels": sorted(label for label, keys in index.label_presence.items()
-                                 if key in keys),
-            }
-            for key in index.entries
-        ],
+        "entries": [{"doc": key.document_id, "page": key.page_index,
+                     "path": str(page_path), "labels": labels[key]}
+                    for key, page_path in index.entries.items()],
     }
-    Path(path).write_text(json.dumps(payload, indent=2, ensure_ascii=False) + "\n",
+    # No indent, so json encodes with its C encoder.
+    Path(path).write_text(json.dumps(payload, ensure_ascii=False,
+                                     separators=(",", ":")) + "\n",
                           encoding="utf-8")
 
 
+def _strings(value: object) -> bool:
+    return isinstance(value, list) and all(isinstance(item, str) for item in value)
+
+
 def load_index(path: str | Path) -> CorpusIndex:
-    """Load a JSON cache produced by save_index."""
+    """Load a JSON cache produced by save_index. A cache that is not UTF-8
+    JSON of that shape raises ConfigError."""
     try:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"index cache is not valid JSON: {exc}") from None
+    except ValueError as exc:  # UnicodeDecodeError, JSONDecodeError
+        raise ConfigError(f"index cache {path} is not UTF-8 JSON: {exc}") from None
+    if not isinstance(payload, dict):
+        raise ConfigError(f"index cache {path} is not a JSON object")
     if payload.get("format_version") != INDEX_FORMAT_VERSION:
         raise ConfigError(
             f"unsupported index format_version: {payload.get('format_version')!r}")
+    listed = payload.get("entries")
+    if not isinstance(listed, list) or not _strings(payload.get("vocabulary")):
+        raise ConfigError(f"index cache {path} lacks a list of entries or "
+                          "of vocabulary strings")
     entries: dict[PageKey, Path] = {}
     presence: dict[str, set[PageKey]] = {}
-    for entry in payload["entries"]:
-        key = PageKey(entry["doc"], int(entry["page"]))
+    for number, entry in enumerate(listed):
+        try:
+            doc, page, labels = entry["doc"], entry["page"], entry["labels"]
+            if not (isinstance(doc, str) and type(page) is int
+                    and isinstance(entry["path"], str) and _strings(labels)):
+                raise TypeError
+            key = PageKey(doc, page)
+        except (KeyError, TypeError, ValueError):
+            raise ConfigError(f"index cache {path}: entry {number} is not a "
+                              "page key with a path and labels") from None
         entries[key] = Path(entry["path"])
-        for label in entry["labels"]:
+        for label in labels:
             presence.setdefault(label, set()).add(key)
     entries = {key: entries[key] for key in sorted(entries)}
     label_presence = {label: frozenset(keys) for label, keys in sorted(presence.items())}

@@ -13,6 +13,7 @@ results in unit order.
 
 from __future__ import annotations
 
+import atexit
 import hashlib
 import json
 import logging
@@ -23,6 +24,7 @@ from itertools import chain, groupby
 from pathlib import Path
 from typing import Container, Iterable, Iterator, Mapping, NamedTuple
 
+from . import __version__ as HARNESS_VERSION
 from .corpus import (DEFAULT_KEY_PATTERN, DEFAULT_LABELS, CorpusIndex,
                      PageKey, index_corpus, parse_gt_page, sample_by_month,
                      validate_label)
@@ -34,7 +36,6 @@ from .metrics import DEFAULT_MATCH, DocumentScores, MatchConfig, score_document
 logger = logging.getLogger(__name__)
 
 HARNESS_NAME = "docbench"
-HARNESS_VERSION = "0.1.0"
 JOURNAL_FORMAT_VERSION = 1
 
 STATUS_SCORED = "scored"
@@ -280,6 +281,16 @@ def _worker_pool(workers: int):
             workers, mp_context=multiprocessing.get_context("fork"),
             initializer=signal.signal, initargs=(signal.SIGINT, signal.SIG_IGN)))
     return _pool[1]
+
+
+@atexit.register
+def _release_pool() -> None:
+    """Shut the shared pool down at exit, while the modules its executor's
+    callbacks use are still loaded."""
+    global _pool
+    if _pool is not None:
+        _pool[1].shutdown()
+        _pool = None
 
 
 def _evaluate_documents(pages: list[PagePlan], config: RunConfig,

@@ -15,10 +15,12 @@ import math
 from dataclasses import dataclass
 from decimal import ROUND_HALF_EVEN, Decimal
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .errors import ConfigError
-from .pipeline import UnitResult
+
+if TYPE_CHECKING:
+    from .pipeline import UnitResult
 
 # Task groups for cumulative F1. The maximum attainable value per task is
 # the number of labels in the group.

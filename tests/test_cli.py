@@ -62,13 +62,13 @@ def test_eval_threshold_out_of_range(golden_dir: Path, tmp_path: Path):
 
 def test_eval_interrupted_exits_130(golden_dir: Path, tmp_path: Path,
                                     monkeypatch, capsys):
-    from docbench import cli
+    from docbench import cli, pipeline
 
     def interrupted(*args, **kwargs):  # a generator, as evaluate_run is
         raise KeyboardInterrupt
         yield
 
-    monkeypatch.setattr(cli, "evaluate_run", interrupted)
+    monkeypatch.setattr(pipeline, "evaluate_run", interrupted)  # cmd_eval's import
     code = cli.main(_eval_args(golden_dir, "perfect", tmp_path / "j.jsonl"))
     assert code == 130
     assert capsys.readouterr().err == (
@@ -589,6 +589,37 @@ def test_adapter_config_that_is_not_utf8_is_a_config_error(golden_dir: Path,
     proc = _run("validate", "--adapter-config", str(adapter))
     assert proc.returncode == 3
     assert proc.stdout.count("[FINDING]") == 1
+
+
+_ENTRY = {"doc": "1401.0001", "page": 0, "path": "p.txt", "labels": ["title"]}
+
+
+@pytest.mark.parametrize("content", [
+    b"\xff",
+    b'{"format_version": 1}',
+    b"[]",
+    json.dumps({"format_version": 1, "entries": [_ENTRY]}).encode(),
+    *[json.dumps({"format_version": 1, "vocabulary": ["title"],
+                  "entries": [{**_ENTRY, **change}]}).encode()
+      for change in ({"doc": ""}, {"page": -1}, {"page": "0"}, {"path": None},
+                     {"labels": "title"})],
+    json.dumps({"format_version": 1, "vocabulary": ["title"],
+                "entries": [_ENTRY, ["1401.0001", 1]]}).encode(),
+], ids=["not-utf8", "no-entries", "array", "no-vocabulary", "empty-doc",
+        "negative-page", "string-page", "no-path", "string-labels", "array-entry"])
+def test_eval_with_an_unreadable_index_is_a_config_error(golden_dir: Path,
+                                                         tmp_path: Path,
+                                                         content: bytes):
+    index = tmp_path / "index.json"
+    index.write_bytes(content)
+    journal = tmp_path / "j.jsonl"
+    args = _eval_args(golden_dir, "partial", journal)
+    args[args.index("--gt-root"):args.index("--gt-root") + 2] = ["--index", str(index)]
+    proc = _run(*args)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("[ERROR] configuration: ")
+    assert proc.stderr.count("\n") == 1, proc.stderr
+    assert not journal.exists()
 
 
 def test_validate_tool_output(golden_dir: Path, tmp_path: Path):

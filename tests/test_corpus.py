@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import logging
 import random
 from pathlib import Path
@@ -258,13 +259,20 @@ def test_sample_by_month_skips_nonconforming_ids(tmp_path: Path, caplog):
 
 
 def test_index_save_load_round_trip(golden_dir: Path, tmp_path: Path):
-    index = index_corpus(golden_dir / "gt")
+    index = index_corpus(golden_dir / "gt", DEFAULT_LABELS | {"sidebar"})
     path = tmp_path / "index.json"
     save_index(index, path)
-    loaded = load_index(path)
-    assert loaded.entries == index.entries
-    assert loaded.label_presence == index.label_presence
-    assert loaded.vocabulary == index.vocabulary
+    text = path.read_text(encoding="utf-8")
+    assert text.count("\n") == 1 and ", " not in text  # compact
+    payload = json.loads(text)
+    assert [entry["labels"] for entry in payload["entries"]] == [
+        sorted(label for label, keys in index.label_presence.items() if key in keys)
+        for key in index.entries]
+    indented = tmp_path / "indented.json"  # as earlier versions wrote it
+    indented.write_text(json.dumps(payload, indent=2, ensure_ascii=False) + "\n",
+                        encoding="utf-8")
+    for cache in (path, indented):
+        assert load_index(cache) == index
 
 
 def test_index_load_rejects_unknown_version(tmp_path: Path):

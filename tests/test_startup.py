@@ -1,8 +1,10 @@
-"""numpy is loaded on first use, not on import.
+"""Start-up loads only what is used: numpy on first use, not on import, and
+a docbench submodule only when a name or command needs it.
 
 Each check runs in a fresh interpreter, since this test process has numpy
-loaded already. A blocked import (sys.modules["numpy"] = None) makes any
-import of numpy raise, so a command that succeeds there never needed it.
+and every submodule loaded already. A blocked import
+(sys.modules["numpy"] = None) makes any import of numpy raise, so a command
+that succeeds there never needed it.
 """
 
 from __future__ import annotations
@@ -139,3 +141,92 @@ def test_index_validate_report_and_chart_run_without_numpy(golden_dir: Path,
                     "--out", "report.csv").returncode == 0
         assert (cwd / "report.csv").read_bytes() == \
             (expected / f"{tool}_report.csv").read_bytes()
+
+
+# What `import docbench` has exported: each name by the submodule defining it.
+EXPORTED = {
+    "corpus": ["DEFAULT_KEY_PATTERN", "DEFAULT_LABELS", "CorpusIndex",
+               "GroundTruthPage", "PageKey", "index_corpus", "load_index",
+               "parse_gt_page", "parse_gt_record", "parse_page_key",
+               "sample_by_month", "save_index"],
+    "interchange": ["AdapterConfig", "ExtractionRecord", "load_adapter_config",
+                    "read_records", "tokenize"],
+    "metrics": ["DocumentScores", "MatchConfig", "SimilarityMatrix", "accuracy",
+                "collate", "edit_distance", "f1", "lev_ratio", "precision",
+                "recall", "score_document", "similarity_matrix"],
+    "pipeline": ["EvaluationUnit", "RunConfig", "UnitResult", "config_hash",
+                 "evaluate_run", "read_journal", "resolve_output", "score_unit",
+                 "zero_score_labels"],
+    "report": ["TASKS", "AggregateRow", "TaskSummary", "aggregate",
+               "all_task_summaries", "cumulative_f1", "emit_bar_chart",
+               "emit_report", "round_half_even"],
+}
+
+# prints the docbench submodules loaded, on one line
+LOADED = "print(*sorted(m for m in sys.modules if m.startswith('docbench.')))"
+
+
+def _loaded_after(code: str) -> list[str]:
+    proc = _python(f"import sys\n{code}\n{LOADED}\n")
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.split()
+
+
+def test_import_loads_no_submodule():
+    assert _loaded_after("import docbench") == []
+
+
+def test_one_submodule_loads_only_its_imports():
+    assert _loaded_after("import docbench\nfrom docbench import corpus") == \
+        ["docbench.corpus", "docbench.errors"]
+    assert _loaded_after("import docbench\ndocbench.DEFAULT_LABELS") == \
+        ["docbench.corpus", "docbench.errors"]
+
+
+def test_every_exported_name_resolves_to_its_module():
+    proc = _python(
+        "import importlib, json, sys\n"
+        "import docbench\n"
+        "exported = json.load(sys.stdin)\n"
+        "star = {}\n"
+        "exec('from docbench import *', star)\n"
+        "for module, names in exported.items():\n"
+        "    source = importlib.import_module('docbench.' + module)\n"
+        "    assert star[module] is source is getattr(docbench, module), module\n"
+        "    for name in names:\n"
+        "        assert star[name] is getattr(source, name), name\n"
+        "        assert getattr(docbench, name) is getattr(source, name), name\n"
+        "        assert name in dir(docbench), name\n"
+        "print('ok')\n",
+        stdin=json.dumps(EXPORTED))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "ok\n"
+
+
+def test_unknown_name_raises_attribute_error():
+    proc = _python(
+        "import docbench\n"
+        "try:\n"
+        "    docbench.no_such_name\n"
+        "except AttributeError as exc:\n"
+        "    print(exc)\n"
+        "try:\n"
+        "    from docbench import no_such_name\n"
+        "except ImportError:\n"
+        "    print('ImportError')\n")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == ("module 'docbench' has no attribute 'no_such_name'\n"
+                           "ImportError\n")
+
+
+def test_index_and_ground_truth_validation_load_corpus_alone(golden_dir: Path,
+                                                             tmp_path: Path):
+    gt = str(golden_dir / "gt")
+    for argv in (("index", "--gt-root", gt, "--out", "index.json"),
+                 ("validate", "--gt-root", gt)):
+        proc = _python("import sys\nfrom docbench.cli import main\n"
+                       f"code = main()\n{LOADED}\nsys.exit(code)\n",
+                       cwd=tmp_path, argv=argv)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1].split() == \
+            ["docbench.cli", "docbench.corpus", "docbench.errors"], argv
