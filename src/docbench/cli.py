@@ -181,7 +181,7 @@ def _validate_adapter_config(path: str, findings: list[str]) -> AdapterConfig | 
 
 
 def _validate_tool_output(args: argparse.Namespace, findings: list[str]) -> None:
-    from .interchange import EXTENSIONS, SELECTOR_MISS, read_records
+    from .interchange import SELECTOR_MISS, read_records
     if not args.adapter_config:
         raise ConfigError("--tool-output validation needs --adapter-config")
     adapter = _validate_adapter_config(args.adapter_config, findings)
@@ -190,14 +190,17 @@ def _validate_tool_output(args: argparse.Namespace, findings: list[str]) -> None
     root = Path(args.tool_output)
     if not root.is_dir():
         raise NotADirectoryError(f"not a directory: {root}")
-    if adapter.format == "csv":
-        labels = ["table"]
-    else:
-        labels = sorted(adapter.selector_map)
+    labels = sorted(adapter.compiled)
     if not labels:
         findings.append(f"{args.adapter_config}: selector map is empty")
         return
-    for path in sorted(root.rglob("*" + EXTENSIONS[adapter.format])):
+    # The files of the template's literal extension; all if it holds a field.
+    suffix = Path(adapter.effective_path_template).suffix
+    if "{" in suffix or "}" in suffix:
+        suffix = ""
+    for path in sorted(root.rglob("*")):
+        if not path.name.endswith(suffix) or not path.is_file():
+            continue
         for label, record in read_records(path, adapter, labels).items():
             if isinstance(record, AdapterError):
                 findings.append(f"{path}: {record}")

@@ -188,7 +188,12 @@ def parse_page_key(filename: str | Path, pattern: str = DEFAULT_KEY_PATTERN) -> 
     except UnicodeEncodeError:
         raise KeyParseError(f"path {path!r} is not valid UTF-8, so no index "
                             "or journal can hold it") from None
-    return PageKey(match.group("doc"), int(match.group("page")))
+    doc, page = match.group("doc", "page")
+    try:
+        return PageKey(doc, int(page))
+    except (TypeError, ValueError):  # an empty or absent group, a bad page
+        raise KeyParseError(f"filename {name!r} gives no page key: document "
+                            f"{doc!r}, page {page!r}") from None
 
 
 def parse_gt_page(

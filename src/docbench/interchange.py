@@ -19,7 +19,8 @@ split tokens. Formats differ only in what a selector means:
          one item per row, cells flattened row-major); only 'table' may be
          mapped, and any other label is a selector miss.
   text   a 1-based line rule: 'N', 'N-M', 'N-' or '*' / empty for the whole
-         file; each selected line is one item.
+         file; each selected line is one item. A rule of another form, or
+         one that starts at 0 or ends before it starts, is refused on load.
 """
 
 from __future__ import annotations
@@ -108,10 +109,11 @@ class AdapterConfig:
                     f"selector {selector!r} is mapped to both "
                     f"{seen[selector]!r} and {label!r}")
             seen[selector] = label
-        # Each xml selector's ElementPath path, built and compiled once.
-        object.__setattr__(self, "_xml_paths", {
-            selector: _xml_path(label, selector)
-            for selector, label in seen.items()} if self.format == "xml" else {})
+        # Each label's select arguments, checked and built once as plain data
+        # (a config pickles); csv's table is 'table' whatever the map says.
+        object.__setattr__(self, "compiled", {"table": ()} if self.format == "csv"
+                           else {label: _compile(self.format, label, selector)
+                                 for selector, label in seen.items()})
         fields = {"doc": "1401.0001"}  # a sample document id
         if self.scope == "page":
             fields["page"] = 0
@@ -180,6 +182,15 @@ def load_adapter_config(path: str | Path) -> AdapterConfig:
 _XML_NAME = re.compile(r"[^./{}*\[\]()@!=\s][^/{}*\[\]()@!=\s]*")
 
 
+def _compile(fmt: str, label: str, selector: str) -> tuple:
+    """The arguments a selector gives its format's select function."""
+    if fmt == "xml":
+        return selector, _xml_path(label, selector)
+    if fmt == "json":
+        return tuple(p for p in selector.split(".") if p), selector
+    return _line_span(label, selector)
+
+
 def _xml_path(label: str, selector: str) -> str | None:
     """The ElementPath path of an xml selector, checked to compile; None for
     a plain name."""
@@ -200,7 +211,7 @@ def _xml_path(label: str, selector: str) -> str | None:
     return path
 
 
-def _xml_select(root: ET.Element, paths: dict[str, str | None]):
+def _xml_select(root: ET.Element):
     """A select function over one parsed tree. A plain name reads the
     elements of that local name, bucketed in one walk of the tree that skips
     the root, in document order: what ElementPath's './/{*}name' finds."""
@@ -210,9 +221,8 @@ def _xml_select(root: ET.Element, paths: dict[str, str | None]):
     for element in walk:
         named.setdefault(element.tag.rpartition("}")[2], []).append(element)
 
-    def select(selector: str) -> list[str] | None:
-        path = paths[selector]
-        found = named.get(selector, ()) if path is None else root.findall(path)
+    def select(name: str, path: str | None) -> list[str] | None:
+        found = named.get(name, ()) if path is None else root.findall(path)
         return [" ".join(element.itertext()) for element in found] or None
     return select
 
@@ -237,7 +247,7 @@ def _json_leaves(value, trail: str) -> list[str]:
                         "extend the path to a text field")
 
 
-def _json_walk(value, parts: list[str], trail: str) -> list[str] | None:
+def _json_walk(value, parts: tuple[str, ...], trail: str) -> list[str] | None:
     """Resolve a dotted path; returns None when the path is absent."""
     if isinstance(value, list):
         collected = []
@@ -256,10 +266,6 @@ def _json_walk(value, parts: list[str], trail: str) -> list[str] | None:
     return _json_walk(value[head], rest, trail)
 
 
-def _json_items(payload, selector: str) -> list[str] | None:
-    return _json_walk(payload, [p for p in selector.split(".") if p], selector)
-
-
 def _csv_rows(text: str) -> list[str]:
     return [" ".join(row) for row in csv.reader(io.StringIO(text))]
 
@@ -271,26 +277,27 @@ def _text_lines(text: str) -> list[str]:
     return lines
 
 
-def _parse_line_rule(rule: str, line_count: int) -> range:
+def _line_span(label: str, rule: str) -> tuple[int, int | None]:
+    """A line rule's 1-based (start, end) lines; end None for the last."""
     rule = rule.strip()
     if rule in ("", "*"):
-        return range(1, line_count + 1)
+        return 1, None
+    error = ConfigError(f"invalid line rule {rule!r} of {label!r}")
     try:
         if "-" in rule:
             start_raw, end_raw = rule.split("-", 1)
-            start = int(start_raw)
-            end = int(end_raw) if end_raw else line_count
+            start, end = int(start_raw), int(end_raw) if end_raw else None
         else:
             start = end = int(rule)
     except ValueError:
-        raise ConfigError(f"invalid line rule: {rule!r}") from None
-    if start < 1 or end < start:
-        raise ConfigError(f"invalid line rule: {rule!r}")
-    return range(start, min(end, line_count) + 1)
+        raise error from None
+    if start < 1 or (end is not None and end < start):
+        raise error
+    return start, end
 
 
-def _line_items(lines: list[str], rule: str) -> list[str] | None:
-    return [lines[n - 1] for n in _parse_line_rule(rule, len(lines))] or None
+def _line_items(lines: list[str], start: int, end: int | None) -> list[str] | None:
+    return lines[start - 1:end] or None
 
 
 def read_records(
@@ -306,9 +313,8 @@ def read_records(
     the 'table' label alone, one item per row, and never a miss. A file that
     does not parse gives its AdapterError for every label, and a JSON path
     that ends at an unusable value its PathTypeError for that label only;
-    the caller names the file.
-    A bad line rule raises ConfigError; AdapterConfig refuses a bad xml
-    selector.
+    the caller names the file. AdapterConfig checks every selector when it
+    loads, so no selector fails here.
     """
     with open(path, "rb") as handle:
         data = handle.read()
@@ -316,16 +322,13 @@ def read_records(
         text, flags = data.decode("utf-8"), ()
     except UnicodeDecodeError:
         text, flags = data.decode("utf-8", errors="replace"), (LOSSY_DECODE,)
-    selectors = adapter.selector_map
     try:
         if adapter.format == "xml":
-            select = _xml_select(ET.fromstring(text), adapter._xml_paths)
+            select = _xml_select(ET.fromstring(text))
         elif adapter.format == "json":
-            select = partial(_json_items, json.loads(text))
+            select = partial(_json_walk, json.loads(text))
         elif adapter.format == "csv":
-            # The table is the 'table' label's item set whatever it maps to.
-            select = partial(lambda rows, _: rows, _csv_rows(text))
-            selectors = {"table": ""}
+            select = partial(lambda rows: rows, _csv_rows(text))
         else:
             select = partial(_line_items, _text_lines(text))
     except (ET.ParseError, json.JSONDecodeError, csv.Error) as exc:
@@ -334,9 +337,9 @@ def read_records(
         return dict.fromkeys(labels, error(str(exc)))
     records: dict[str, ExtractionRecord | AdapterError] = {}
     for label in labels:
-        selector = selectors.get(label)
+        arguments = adapter.compiled.get(label)
         try:
-            items = None if selector is None else select(selector)
+            items = None if arguments is None else select(*arguments)
         except PathTypeError as exc:
             records[label] = exc
             continue

@@ -12,7 +12,7 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from decimal import ROUND_HALF_EVEN, Decimal
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Sequence
@@ -199,23 +199,8 @@ def emit_report(
         payload: dict = {}
         if stamp:
             payload["meta"] = {"stamp": stamp}
-        payload["rows"] = [
-            {
-                "tool": row.tool, "label": row.label,
-                "detected": row.detected, "processed": row.processed,
-                "acc": row.acc, "f1": row.f1, "p": row.p, "r": row.r,
-                "acc_detected": row.acc_detected, "f1_detected": row.f1_detected,
-                "p_detected": row.p_detected, "r_detected": row.r_detected,
-            }
-            for row in rows
-        ]
-        payload["summaries"] = [
-            {
-                "tool": s.tool, "task": s.task, "labels": list(s.labels),
-                "cumulative_f1": s.cumulative_f1, "max_possible": s.max_possible,
-            }
-            for s in summaries or ()
-        ]
+        payload["rows"] = [asdict(row) for row in rows]
+        payload["summaries"] = [asdict(summary) for summary in summaries or ()]
         text = json.dumps(payload, indent=2, ensure_ascii=False) + "\n"
     if out is not None:
         Path(out).write_text(text, encoding="utf-8")

@@ -207,6 +207,65 @@ def test_path_that_utf8_cannot_encode_is_skipped(tmp_path: Path):
             journal.read_text(encoding="utf-8").splitlines()] == [None, "1401.0001"]
 
 
+@pytest.mark.parametrize("command", ["index", "eval", "validate"])
+def test_custom_pattern_match_without_a_page_key_is_skipped(tmp_path: Path,
+                                                            command: str):
+    """A pattern that matches a name without giving a document id and a
+    page number skips the file in index and eval; validate names it."""
+    gt_root = tmp_path / "gt"
+    gt_root.mkdir()
+    line = "Deep\t0\t0\t1\t1\t0\t0\t0\tF\ttitle\n"
+    for name in ("good_0.txt", "_3.txt", "doc_x.txt"):
+        (gt_root / name).write_text(line, encoding="utf-8")
+    pattern = ["--pattern", r"(?P<doc>[a-z]*)_(?P<page>[a-z0-9]+)\.txt$"]
+    out = tmp_path / "out.json"
+    if command == "index":
+        proc = _run("index", "--gt-root", str(gt_root), "--out", str(out),
+                    *pattern)
+        assert (proc.returncode, proc.stderr.count("Traceback")) == (0, 0)
+        assert "[WARN] skipped 2 files" in proc.stdout
+        assert [entry["doc"] for entry in json.loads(
+            out.read_text(encoding="utf-8"))["entries"]] == ["good"]
+    elif command == "eval":
+        adapter = tmp_path / "adapter.json"
+        adapter.write_text('{"tool": "t", "format": "text", "selectors": '
+                           '{"title": "1"}}', encoding="utf-8")
+        proc = _run("eval", "--gt-root", str(gt_root), "--tool-output",
+                    str(tmp_path), "--adapter-config", str(adapter),
+                    "--journal", str(out), "--labels", "title", *pattern)
+        assert (proc.returncode, proc.stderr.count("Traceback")) == (0, 0)
+        assert [json.loads(line).get("doc") for line in
+                out.read_text(encoding="utf-8").splitlines()] == [None, "good"]
+    else:
+        proc = _run("validate", "--gt-root", str(gt_root), *pattern)
+        assert (proc.returncode, proc.stderr.count("Traceback")) == (3, 0)
+        findings = [line for line in proc.stdout.splitlines()
+                    if line.startswith("[FINDING]")]
+        assert len(findings) == 2
+        assert "'_3.txt'" in findings[0] and "'doc_x.txt'" in findings[1]
+
+
+def test_validate_tool_output_reads_the_template_extension(tmp_path: Path):
+    out = tmp_path / "out"
+    (out / "sub.tei").mkdir(parents=True)  # a directory is no output file
+    (out / "1401.0001_0.tei").write_text("<TEI><title>Deep", encoding="utf-8")
+    (out / "1401.0001_1.tei").write_text("<TEI><title>Deep</title></TEI>",
+                                         encoding="utf-8")
+    (out / "notes.xml").write_text("<notes>", encoding="utf-8")
+    adapter = tmp_path / "adapter.json"
+    for template, named in (("{doc}_{page}.tei", ["1401.0001_0.tei"]),
+                            ("{doc}.p{page}", ["1401.0001_0.tei", "notes.xml"])):
+        adapter.write_text(json.dumps({
+            "tool": "grob", "format": "xml", "path_template": template,
+            "selectors": {"title": "title"}}), encoding="utf-8")
+        proc = _run("validate", "--tool-output", str(out),
+                    "--adapter-config", str(adapter))
+        assert (proc.returncode, proc.stderr.count("Traceback")) == (3, 0)
+        findings = [line for line in proc.stdout.splitlines()
+                    if line.startswith("[FINDING]")]
+        assert [Path(line.split(": ")[0]).name for line in findings] == named
+
+
 def test_validate_tool_output_prints_a_non_utf8_path(tmp_path: Path):
     out = os.path.join(os.fsencode(tmp_path), b"out\xff")
     os.mkdir(out)
@@ -543,6 +602,7 @@ MALFORMED_ADAPTERS = {
     "absolute xml selector": {"format": "xml", "selectors": {"title": "/title"}},
     "unclosed xml predicate": {"format": "xml",
                                "selectors": {"title": ".//title["}},
+    "bad line rule": {"selectors": {"title": "abc"}},
     "lone surrogate in tool": {"tool": "t\udcff"},
     "lone surrogate in template": {"path_template": "{doc}_{page}\ud800.txt"},
 }
@@ -567,6 +627,7 @@ def test_malformed_adapter_config_is_a_config_error(golden_dir: Path,
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert proc.stderr.count("[ERROR]") == 1
+    assert proc.stderr.startswith("[ERROR] configuration: ")
     assert not journal.exists()
     proc = _run("validate", "--adapter-config", str(adapter))
     assert proc.returncode == 3

@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import logging
 import random
+import re
 from pathlib import Path
 
 import pytest
@@ -133,6 +134,18 @@ def test_parse_page_key_failures():
     # the surrogate a filename byte that is not UTF-8 decodes to
     with pytest.raises(KeyParseError, match="not valid UTF-8"):
         parse_page_key("doc\udcff_0.txt", r"(?P<doc>.+)_(?P<page>\d+)\.txt$")
+
+
+@pytest.mark.parametrize("name, pattern", [
+    ("_3.txt", r"(?P<doc>[a-z]*)_(?P<page>\d+)\.txt$"),  # empty document id
+    ("_3.txt", r"(?:(?P<doc>[a-z]+))?_(?P<page>\d+)\.txt$"),  # doc group absent
+    ("doc_x.txt", r"(?P<doc>[a-z]+)_(?P<page>[a-z0-9]+)\.txt$"),  # not a number
+    ("doc_-3.txt", r"(?P<doc>[a-z]+)_(?P<page>-?\d+)\.txt$"),  # negative page
+    ("doc.txt", r"(?P<doc>[a-z]+)(?:_(?P<page>\d+))?\.txt$"),  # page group absent
+])
+def test_custom_pattern_match_without_a_page_key(name: str, pattern: str):
+    with pytest.raises(KeyParseError, match=re.escape(repr(name))):
+        parse_page_key(name, pattern)
 
 
 def test_custom_key_pattern_dotnet_syntax():

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import pickle
 import random
 import unicodedata
 import xml.etree.ElementPath as ElementPath
@@ -274,7 +275,7 @@ def test_xml_walk_matches_elementpath(monkeypatch):
         for config in configs:
             selector = config.selector_map["title"]
             calls.clear()
-            got = interchange._xml_select(root, config._xml_paths)(selector)
+            got = interchange._xml_select(root)(*config.compiled["title"])
             path = paths.get(selector, ".//{*}" + selector)
             assert calls == ([] if selector in plain else [path])
             expected = [" ".join(element.itertext())
@@ -444,13 +445,37 @@ def test_text_adapter_unmapped_label(tmp_path: Path):
     assert SELECTOR_MISS in record.flags
 
 
-def test_text_adapter_invalid_rules(tmp_path: Path):
-    path = tmp_path / "1401.0001_0.txt"
-    path.write_text(TEXT_FILE, encoding="utf-8")
+def test_text_adapter_invalid_rules():
     for rule in ("0", "4-2", "x", "1-2-3"):
-        config = AdapterConfig("plain", "text", {"title": rule})
-        with pytest.raises(ConfigError):
-            _record(path, config, "title")
+        with pytest.raises(ConfigError, match="'title'"):
+            AdapterConfig("plain", "text", {"title": rule})
+
+
+def _plain_data(value) -> bool:
+    if isinstance(value, (tuple, list)):
+        return all(map(_plain_data, value))
+    return value is None or type(value) in (str, int)
+
+
+@pytest.mark.parametrize("config, name, text", (
+    (XML_CONFIG, "page.xml", TEI_LIKE),
+    (JSON_CONFIG, "page.json", json.dumps(JSON_DOC)),
+    (CSV_CONFIG, "page.csv", "a,b\nc,d\n"),
+    (TEXT_CONFIG, "page.txt", TEXT_FILE),
+), ids=("xml", "json", "csv", "text"))
+def test_config_pickles_to_one_that_reads_the_same_records(tmp_path: Path,
+                                                           config, name, text):
+    # Every pool task pickles its config, compiled selectors and all.
+    assert all(map(_plain_data, config.compiled.values()))
+    copy = pickle.loads(pickle.dumps(config))
+    assert copy == config
+    assert copy.compiled == config.compiled
+    path = tmp_path / name
+    path.write_text(text, encoding="utf-8")
+    labels = sorted({*config.selector_map, "footnote", "table"})
+    records = read_records(path, copy, labels)
+    assert records == read_records(path, config, labels)
+    assert any(record.units for record in records.values())
 
 
 def test_lossy_decode_flag(tmp_path: Path):

@@ -842,6 +842,52 @@ def test_csv_output_scores_only_the_table_label(tmp_path: Path):
     assert record.units == () and record.flags == ("SelectorMiss",)
 
 
+FORMAT_OUTPUTS = {
+    "xml": ({"paragraph": "body/p", "title": "title"}, "{doc}_{page}.xml",
+            "<doc><title>{title}</title><body><p>{paragraph}</p>"
+            "<p>noise</p></body></doc>"),
+    "json": ({"paragraph": "blocks.text", "title": "meta.title"},
+             "{doc}_{page}.json",
+             '{{"meta": {{"title": "{title}"}}, "blocks": '
+             '[{{"text": "{paragraph}"}}, {{"text": "noise"}}]}}'),
+    "csv": ({}, "{doc}_{page}.csv", "{table}\nnoise,{title}\n"),
+}
+
+
+@pytest.mark.skipif(worker_count(2) < 2, reason="a worker pool needs 2 CPUs")
+@pytest.mark.parametrize("fmt", FORMAT_OUTPUTS)
+def test_pool_journal_equals_the_inline_one_in_every_format(tmp_path: Path,
+                                                            fmt: str):
+    """Each pool task pickles the config, its compiled selectors too."""
+    selectors, template, body = FORMAT_OUTPUTS[fmt]
+    gt_root, out_root = tmp_path / "gt", tmp_path / "out"
+    gt_root.mkdir()
+    out_root.mkdir()
+    for d in range(2):
+        doc = f"2101.{d:05d}"
+        words = {"paragraph": f"Intro{d} text", "table": f"Acc{d},0.9{d}",
+                 "title": f"Deep{d} Parsing"}
+        (gt_root / f"{doc}_0.txt").write_text("".join(
+            f"{token}\t0\t0\t1\t1\t0\t0\t0\tF\t{label}\n"
+            for label, text in words.items()
+            for token in text.replace(",", " ").split()), encoding="utf-8")
+        (out_root / template.format(doc=doc, page=0)).write_text(
+            body.format(**words), encoding="utf-8")
+    config = RunConfig(output_root=out_root, gt_root=gt_root,
+                       adapter=AdapterConfig("t", fmt, selectors),
+                       labels=("paragraph", "table", "title"))
+    journals = []
+    for jobs in (1, 2):
+        journal = tmp_path / f"jobs{jobs}.jsonl"
+        results = list(evaluate_run(dataclasses.replace(config, parallelism=jobs),
+                                    journal_path=journal))
+        journals.append(journal.read_bytes())
+    assert journals[0] == journals[1]
+    assert len(results) == 6
+    assert all(r.status == STATUS_SCORED for r in results)
+    assert any(r.scores.f1 > 0 for r in results)
+
+
 def test_unreadable_file_is_logged_once(tmp_path: Path, caplog):
     labels = {"author": "Shiu", "paragraph": "Intro", "title": "Deep"}
     gt_root = _one_page_corpus(tmp_path, labels)
