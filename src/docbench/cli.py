@@ -17,7 +17,8 @@ from typing import TYPE_CHECKING
 from . import __version__
 from .corpus import (DEFAULT_KEY_PATTERN, DEFAULT_LABELS, index_corpus,
                      load_index, parse_gt_page, parse_page_key, save_index)
-from .errors import (AdapterError, ConfigError, DocbenchError, KeyParseError)
+from .errors import (AdapterError, ConfigError, DocbenchError, KeyParseError,
+                     PathTypeError)
 
 if TYPE_CHECKING:
     from .interchange import AdapterConfig
@@ -202,10 +203,12 @@ def _validate_tool_output(args: argparse.Namespace, findings: list[str]) -> None
         if not path.name.endswith(suffix) or not path.is_file():
             continue
         for label, record in read_records(path, adapter, labels).items():
-            if isinstance(record, AdapterError):
+            if isinstance(record, PathTypeError):  # this label's path alone
+                findings.append(f"{path}: label {label!r}: {record}")
+            elif isinstance(record, AdapterError):  # the file, every label
                 findings.append(f"{path}: {record}")
                 break
-            if SELECTOR_MISS in record.flags:
+            elif SELECTOR_MISS in record.flags:
                 findings.append(f"{path}: selector miss for label {label!r}")
 
 

@@ -20,6 +20,7 @@ import re
 import unicodedata
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from .errors import ConfigError, KeyParseError, MalformedRecord, UnknownLabel
 
@@ -57,16 +58,25 @@ def validate_label(label: str) -> str:
     return label
 
 
-@dataclass(frozen=True, order=True)
-class PageKey:
+class _PageKeyFields(NamedTuple):
     document_id: str
     page_index: int
 
-    def __post_init__(self):
-        if not self.document_id:
+
+class PageKey(_PageKeyFields):
+    """A page's (document id, page index): a tuple, so hashing, equality,
+    ordering and pickling run as the tuple's C code, and a key equals its
+    plain tuple. Constructing one, unpickling too, checks both fields;
+    _make and _replace do not."""
+
+    __slots__ = ()
+
+    def __new__(cls, document_id: str, page_index: int):
+        if not document_id:
             raise ValueError("document_id must be non-empty")
-        if self.page_index < 0:
+        if page_index < 0:
             raise ValueError("page_index must be >= 0")
+        return tuple.__new__(cls, (document_id, page_index))
 
     def __str__(self) -> str:
         return f"{self.document_id}:{self.page_index}"

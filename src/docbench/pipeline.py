@@ -18,6 +18,7 @@ import hashlib
 import json
 import logging
 import os
+import re
 from collections import deque
 from dataclasses import dataclass, replace
 from itertools import chain, groupby
@@ -112,7 +113,7 @@ PagePlan = tuple[PageKey, str, tuple[str, ...]]
 
 
 def _unit_keys(key: PageKey, labels: Iterable[str]) -> list[UnitKey]:
-    return [(key.document_id, key.page_index, label) for label in labels]
+    return [(*key, label) for label in labels]
 
 
 def _page_plans(index: CorpusIndex, config: RunConfig) -> list[PagePlan]:
@@ -340,17 +341,26 @@ def _evaluate_documents(pages: list[PagePlan], config: RunConfig,
 # json.dumps(s, ensure_ascii=False) for a str, with one shared encoder.
 _encode = json.JSONEncoder(ensure_ascii=False).encode
 
+# The unit line's format, and from it the pattern of the lines it writes
+# whose strings json encodes as themselves: non-empty, with no '"', no '\'
+# and no control character. json reads a line the pattern matches in full
+# as the groups' strings and the groups' int() and float() values, so
+# _read_journal reads such a line from its groups, and any other as JSON.
+_UNIT_LINE = ('{"doc":%s,"page":%d,"label":%s,"status":%s,'
+              '"p":%.6f,"r":%.6f,"f1":%.6f,"acc":%.6f,"m":%d,"n":%d}')
+_match_unit_line = re.compile(
+    re.escape(_UNIT_LINE).replace("%s", r'"([^"\\\x00-\x1f]+)"')
+    .replace("%d", "(0|[1-9][0-9]*)").replace(r"%\.6f", r"([0-9]\.[0-9]{6})")
+).fullmatch
+
 
 def unit_result_to_line(result: UnitResult) -> str:
     """One journal line; score fields carry exactly six decimals."""
     s = result.scores
-    return (
-        '{"doc":%s,"page":%d,"label":%s,"status":%s,'
-        '"p":%.6f,"r":%.6f,"f1":%.6f,"acc":%.6f,"m":%d,"n":%d}' % (
-            _encode(result.key.document_id), result.key.page_index,
-            _encode(result.label), _encode(result.status),
-            s.precision, s.recall, s.f1, s.accuracy, s.m, s.n,
-        ))
+    return _UNIT_LINE % (
+        _encode(result.key.document_id), result.key.page_index,
+        _encode(result.label), _encode(result.status),
+        s.precision, s.recall, s.f1, s.accuracy, s.m, s.n)
 
 
 def journal_header(config: RunConfig) -> str:
@@ -402,36 +412,42 @@ def _read_journal(path: str | Path, whole_lines: bool,
                 continue
             try:
                 text = line.decode("utf-8")
-                payload, end = _decode(text)
-                if end != len(text):
-                    raise ValueError("extra data")
-                if isinstance(payload, dict) and payload.get("kind") == "header":
-                    if header is None:
-                        header, header_line = payload, line_no
-                    elif payload.get("config") != header.get("config"):
-                        raise ConfigError(
-                            f"journal {path} line {line_no} is a header with "
-                            f"config {payload.get('config')!r}, but its header "
-                            f"on line {header_line} has config "
-                            f"{header.get('config')!r}")
-                    else:
-                        logger.warning("skipping repeated header on journal "
-                                       "line %d", line_no)
-                    continue
-                scores = DocumentScores(
-                    float(payload["p"]), float(payload["r"]),
-                    float(payload["f1"]), float(payload["acc"]),
-                    int(payload["m"]), int(payload["n"]))
-                page = (payload["doc"], int(payload["page"]))
+                fields = _match_unit_line(text)
+                if fields is not None:
+                    doc, page, label, status, p, r, f1, acc, m, n = fields.groups()
+                else:
+                    payload, end = _decode(text)
+                    if end != len(text):
+                        raise ValueError("extra data")
+                    if isinstance(payload, dict) and payload.get("kind") == "header":
+                        if header is None:
+                            header, header_line = payload, line_no
+                        elif payload.get("config") != header.get("config"):
+                            raise ConfigError(
+                                f"journal {path} line {line_no} is a header "
+                                f"with config {payload.get('config')!r}, but "
+                                f"its header on line {header_line} has config "
+                                f"{header.get('config')!r}")
+                        else:
+                            logger.warning("skipping repeated header on "
+                                           "journal line %d", line_no)
+                        continue
+                    doc, page, label, status, p, r, f1, acc, m, n = (
+                        payload["doc"], payload["page"], payload["label"],
+                        payload["status"], payload["p"], payload["r"],
+                        payload["f1"], payload["acc"], payload["m"], payload["n"])
+                scores = DocumentScores(float(p), float(r), float(f1),
+                                        float(acc), int(m), int(n))
+                page = (doc, int(page))
                 key = keys.get(page)
                 if key is None:
                     key = keys[page] = PageKey(*page)
-                label = names.setdefault(payload["label"], payload["label"])
-                status = names.setdefault(payload["status"], payload["status"])
+                label = names.setdefault(label, label)
+                status = names.setdefault(status, status)
             except (KeyError, TypeError, ValueError):
                 logger.warning("skipping malformed journal line %d", line_no)
                 continue
-            unit = (key.document_id, key.page_index, label)
+            unit = (*key, label)
             if unit in results:
                 logger.warning("skipping repeated unit %s/%s on journal line %d",
                                key, label, line_no)

@@ -282,6 +282,46 @@ def test_validate_tool_output_prints_a_non_utf8_path(tmp_path: Path):
     assert "out\\xff" in proc.stdout
 
 
+def test_validate_tool_output_reports_every_label_of_a_file(tmp_path: Path):
+    # One label's path error stops neither the other labels' findings nor
+    # eval, which journals each label on its own.
+    gt, out = tmp_path / "gt", tmp_path / "out"
+    gt.mkdir()
+    out.mkdir()
+    (gt / "1401.0001_0.txt").write_text("".join(
+        f"{label}\t1\t1\t2\t2\t0\t0\t0\tfont\t{label}\n"
+        for label in ("author", "title", "section")), encoding="utf-8")
+    (out / "1401.0001_0.json").write_text(
+        json.dumps({"a": {"x": 1}, "b": {"y": 2}}), encoding="utf-8")
+    adapter = tmp_path / "adapter.json"
+    adapter.write_text(json.dumps({
+        "tool": "js", "format": "json",
+        "selectors": {"author": "a", "title": "b", "section": "zz"},
+    }), encoding="utf-8")
+    proc = _run("validate", "--tool-output", str(out),
+                "--adapter-config", str(adapter))
+    assert (proc.returncode, proc.stderr.count("Traceback")) == (3, 0)
+    findings = [line.split(": ", 2)[1:] for line in proc.stdout.splitlines()
+                if line.startswith("[FINDING]")]
+    assert findings == [
+        ["label 'author'", "path 'a' ends at an object; extend the path to a "
+                           "text field"],
+        ["selector miss for label 'section'"],
+        ["label 'title'", "path 'b' ends at an object; extend the path to a "
+                          "text field"]]
+
+    journal = tmp_path / "js.jsonl"
+    proc = _run("eval", "--gt-root", str(gt), "--tool-output", str(out),
+                "--adapter-config", str(adapter), "--journal", str(journal),
+                "--labels", "author,section,title")
+    assert proc.returncode == 0, proc.stderr
+    units = [json.loads(line) for line in
+             journal.read_text(encoding="utf-8").splitlines()[1:]]
+    assert [(unit["label"], unit["status"], unit["m"]) for unit in units] == [
+        ("author", "tool_error_artifact", 0), ("section", "scored", 0),
+        ("title", "tool_error_artifact", 0)]
+
+
 def test_gt_root_env_override(golden_dir: Path, tmp_path: Path):
     out = tmp_path / "index.json"
     proc = _run("index", "--out", str(out),

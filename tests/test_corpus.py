@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import logging
+import pickle
 import random
 import re
 from pathlib import Path
@@ -114,6 +115,47 @@ def test_page_key_ordering_and_validation():
         PageKey("", 0)
     with pytest.raises(ValueError):
         PageKey("1401.0001", -1)
+
+
+def test_page_key_is_its_plain_tuple():
+    key = PageKey("1401.0001", 2)
+    assert (str(key), repr(key)) == (
+        "1401.0001:2", "PageKey(document_id='1401.0001', page_index=2)")
+    again = pickle.loads(pickle.dumps(key))
+    assert (type(again), again) == (PageKey, key)
+    # Unpickling checks the fields as construction does.
+    for fields in (("", 0), ("1401.0001", -1)):
+        forged = pickle.dumps(tuple.__new__(PageKey, fields))
+        with pytest.raises(ValueError):
+            pickle.loads(forged)
+    rng = random.Random(20261019)
+    plain = [(rng.choice(("1401.0001", "1401.00010", "1402.0042", "a", "é")),
+              rng.randrange(12)) for _ in range(500)]
+    keys = [PageKey(*fields) for fields in plain]
+    assert sorted(keys) == sorted(plain)
+    assert [hash(key) for key in keys] == [hash(fields) for fields in plain]
+    assert keys == plain and set(keys) == set(plain)
+
+
+def test_save_index_bytes(golden_dir: Path, tmp_path: Path):
+    path = tmp_path / "index.json"
+    save_index(index_corpus(golden_dir / "gt"), path)
+    entries = [("1401.0001", 0, "7.tar_1401.0001.gz_alpha_0.txt",
+                '"paragraph","title"'),
+               ("1401.0001", 1, "7.tar_1401.0001.gz_alpha_1.txt", '"reference"'),
+               ("1402.0042", 0, "8.tar_1402.0042.gz_beta_0.txt",
+                '"abstract","author","title"'),
+               ("1403.0777", 0, "9.tar_1403.0777.gz_gamma_0.txt", '"table"'),
+               ("1403.0777", 2, "9.tar_1403.0777.gz_gamma_2.txt",
+                '"paragraph","section"')]
+    vocabulary = ",".join(f'"{label}"' for label in sorted(DEFAULT_LABELS))
+    assert path.read_text(encoding="utf-8") == (
+        '{"format_version":1,"vocabulary":[%s],"entries":[%s]}\n' % (
+            vocabulary, ",".join(
+                '{"doc":"%s","page":%d,"path":%s,"labels":[%s]}' % (
+                    doc, page, json.dumps(str(golden_dir / "gt" / name)),
+                    labels)
+                for doc, page, name, labels in entries)))
 
 
 def test_parse_page_key_default_pattern():

@@ -9,6 +9,7 @@ import multiprocessing
 import os
 import pickle
 import random
+import re
 import signal
 import subprocess
 import sys
@@ -539,6 +540,20 @@ def _line_variants(line: bytes) -> list[bytes]:
                ("status", 3), ("label", "title"), ("page", 2)]
     variants += [json.dumps(dict(payload, **{field: value})).encode()
                  for field, value in changes]
+    # One change from the shape unit_result_to_line writes, so read as
+    # JSON: other number forms, spacing, key order and keys, escapes, a raw
+    # control character, Arabic-Indic digits and an empty label.
+    score = re.compile(rb'"p":[^,]*')
+    variants += [score.sub(b'"p":' + value, line) for value in
+                 (b"1.0", b"1e0", b"0.5000000", b"-0.000000",
+                  "٠.٥٠٠٠٠٠".encode())]
+    variants += [line.replace(b'","page":', end + b'","page":')
+                 for end in (b'\\"', b"\\u00e9", b"\t")]
+    variants += [line.replace(b'":', b'": ', 1), line[:-1] + b',"x":1}',
+                 json.dumps(dict(reversed(payload.items())),
+                            separators=(",", ":"), ensure_ascii=False).encode(),
+                 re.sub(rb'"page":[0-9]+', '"page":١'.encode(), line),
+                 re.sub(rb'"label":"[^"]*"', b'"label":""', line)]
     return variants
 
 
@@ -563,8 +578,8 @@ def test_read_journal_agrees_with_the_reference_reader(golden_dir: Path,
                                                        caplog):
     golden = (golden_dir / "expected" / "partial.jsonl").read_bytes()
     header, *lines = golden.splitlines(keepends=True)
-    wide = dict(json.loads(lines[3]), doc=_WIDE_DOC)
-    lines[3] = json.dumps(wide, ensure_ascii=False).encode("utf-8") + b"\n"
+    doc = json.loads(lines[3])["doc"].encode()
+    lines[3] = lines[3].replace(doc, _WIDE_DOC.encode("utf-8"))
     other = dict(json.loads(header), config="aaaaaaaaaaaa")
     other_header = json.dumps(other).encode() + b"\n"
     journal = tmp_path / "fuzz.jsonl"
@@ -603,6 +618,32 @@ def test_read_journal_agrees_with_the_reference_reader(golden_dir: Path,
         assert _read_like_the_oracle(journal, caplog) \
             == (expected, [repr(record) for record in records], warnings), data
     assert 0 < refused < len(journals) // 10
+
+
+def test_read_journal_decodes_only_the_header_of_a_written_journal(
+        golden_dir: Path, tmp_path: Path, monkeypatch):
+    # Every unit line evaluate_run writes, a non-ASCII document id's too,
+    # is read from the pattern of the writer's own format.
+    journal = tmp_path / "partial.jsonl"
+    results = list(evaluate_run(_golden_config(golden_dir, "partial"),
+                                journal_path=journal))
+    wide = results[0]._replace(key=PageKey(_WIDE_DOC, 0))
+    with open(journal, "a", encoding="utf-8") as handle:
+        handle.write(unit_result_to_line(wide) + "\n")
+    decoded = []
+    decode = pipeline._decode
+
+    def counted(text):
+        decoded.append(text)
+        return decode(text)
+
+    monkeypatch.setattr(pipeline, "_decode", counted)
+    header, journalled = read_journal(journal)
+    first, *lines = journal.read_text(encoding="utf-8").splitlines()
+    assert decoded == [first]
+    assert header == json.loads(first)
+    assert [unit_result_to_line(r) for r in journalled] == lines
+    assert len(lines) == len(results) + 1
 
 
 def test_read_journal_refuses_a_second_header_with_another_config(
