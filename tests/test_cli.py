@@ -1,5 +1,5 @@
-"""End-to-end CLI tests; every case but the interrupt runs the real
-interpreter."""
+"""End-to-end CLI tests. Every case runs the real interpreter, but the
+interrupt and the runs of one page, which call main() in this process."""
 
 from __future__ import annotations
 
@@ -9,6 +9,7 @@ import shutil
 import subprocess
 import sys
 from pathlib import Path
+from typing import Callable
 
 import pytest
 
@@ -448,9 +449,12 @@ def test_eval_via_prebuilt_index(golden_dir: Path, tmp_path: Path):
     assert journal.read_bytes() == expected
 
 
-@pytest.mark.parametrize("jobs", ["1", "2"])
-def test_eval_with_a_ground_truth_page_gone(golden_dir: Path, tmp_path: Path,
-                                            jobs: str):
+def _lines_before_a_page_gone(golden_dir: Path, tmp_path: Path, jobs: str,
+                              run: Callable[[list[str]], tuple[int, str]]) -> int:
+    """Runs eval through run(args), which gives its exit code and stderr,
+    over an index of a golden copy whose last page is then deleted, and
+    checks its one [ERROR]. Then puts the page back and checks that a rerun
+    resumes to the clean bytes. Returns the journal's lines after the error."""
     gt_root = tmp_path / "gt"
     shutil.copytree(golden_dir / "gt", gt_root)
     index = tmp_path / "index.json"
@@ -465,21 +469,49 @@ def test_eval_with_a_ground_truth_page_gone(golden_dir: Path, tmp_path: Path,
             "--adapter-config", str(golden_dir / "adapters" / "partial.json"),
             "--journal", str(journal), "--labels", GOLDEN_LABEL_ARG,
             "--jobs", jobs]
-    proc = _run(*args)
-    assert proc.returncode == 1
-    assert "Traceback" not in proc.stderr
-    [error] = [line for line in proc.stderr.splitlines()
+    code, stderr = run(args)
+    assert code == 1
+    assert "Traceback" not in stderr
+    [error] = [line for line in stderr.splitlines()
                if line.startswith("[ERROR]")]
     assert page.name in error
-    # One worker plans every page before the first result. Two plan their
-    # own documents, so the first two documents' results are journalled
-    # before the third document's error reaches the parent.
-    inline = jobs == "1" or (os.cpu_count() or 1) < 2
-    assert len(journal.read_bytes().splitlines()) == (1 if inline else 7)
+    lines = len(journal.read_bytes().splitlines())
     page.write_bytes(saved)
     assert _run(*args).returncode == 0
     expected = (golden_dir / "expected" / "partial.jsonl").read_bytes()
     assert journal.read_bytes() == expected
+    return lines
+
+
+def _run_process(args: list[str]) -> tuple[int, str]:
+    proc = _run(*args)
+    return proc.returncode, proc.stderr
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_eval_with_a_ground_truth_page_gone(golden_dir: Path, tmp_path: Path,
+                                            jobs: str):
+    # The golden corpus fits in one run, so one worker plans every page
+    # before the first result. Two plan their own documents, so the first
+    # two documents' results are journalled before the third document's
+    # error reaches the parent.
+    inline = jobs == "1" or (os.cpu_count() or 1) < 2
+    assert _lines_before_a_page_gone(golden_dir, tmp_path, jobs,
+                                     _run_process) == (1 if inline else 7)
+
+
+def test_eval_journals_earlier_runs_before_a_page_gone(golden_dir: Path,
+                                                       tmp_path: Path,
+                                                       monkeypatch, capsys):
+    """With runs of one page, one worker scores each document before it
+    plans the next, so the first two documents are journalled."""
+    from docbench import cli, pipeline
+    monkeypatch.setattr(pipeline, "_RUN_PAGES", 1)
+
+    def run_here(args: list[str]) -> tuple[int, str]:
+        return cli.main(args), capsys.readouterr().err
+
+    assert _lines_before_a_page_gone(golden_dir, tmp_path, "1", run_here) == 7
 
 
 @pytest.mark.parametrize("tool", ["null", "partial"])

@@ -947,6 +947,76 @@ def test_unreadable_file_is_logged_once(tmp_path: Path, caplog):
     assert [r.status for r in results] == [STATUS_ERROR] * 3
 
 
+def _dense_corpus(root: Path, documents: int) -> RunConfig:
+    """Two-page documents of 300 distinct paragraph tokens a page, with no
+    tool output."""
+    root.mkdir()
+    for d in range(documents):
+        for page in range(2):
+            (root / f"2101.{d:05d}_{page}.txt").write_text("".join(
+                f"w{d}p{page}t{i}\t0\t0\t1\t1\t0\t0\t0\tF\tparagraph\n"
+                for i in range(300)), encoding="utf-8")
+    return RunConfig(output_root=root / "none", gt_root=root,
+                     labels=("paragraph",), adapter=AdapterConfig("t", "text"))
+
+
+def test_one_worker_memory_is_bounded_by_the_run(tmp_path: Path, monkeypatch,
+                                                 count_gt_parses):
+    """A corpus four times larger peaks no higher: one run's units are held
+    at a time, and the first result waits for one run's parses only."""
+    monkeypatch.setattr(pipeline, "_RUN_PAGES", 2)
+    peaks = []
+    for documents in (8, 8, 32):  # the first pass loads what scoring imports
+        config = _dense_corpus(tmp_path / f"gt{len(peaks)}", documents)
+        index = index_corpus(config.gt_root)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            for _ in evaluate_run(config, index):
+                pass
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    _, small, large = peaks
+    # One page's tokens alone take ~20 KB; each added page's plan ~0.15 KB.
+    assert large - small < 24 * 1024, peaks
+    parsed = count_gt_parses()
+    results = evaluate_run(config, index)
+    next(results)
+    assert parsed() == ["2101.00000:0", "2101.00000:1"]
+    results.close()
+
+
+@pytest.mark.parametrize("run_pages", (1, 2))
+def test_runs_of_whole_documents_give_the_clean_bytes(golden_dir: Path,
+                                                     tmp_path: Path,
+                                                     monkeypatch,
+                                                     run_pages: int):
+    """With runs of one page, each of the three documents is a run; with two,
+    the first document is one and the other two the next. A run cut after
+    any unit, at a run boundary (after the third unit, and with runs of one
+    page the sixth) or inside a run, resumes to the clean bytes."""
+    monkeypatch.setattr(pipeline, "_RUN_PAGES", run_pages)
+    golden = (golden_dir / "expected" / "partial.jsonl").read_bytes()
+    config = _golden_config(golden_dir, "partial")
+    for jobs in (1, 2):
+        journal = tmp_path / f"jobs{jobs}.jsonl"
+        list(evaluate_run(dataclasses.replace(config, parallelism=jobs),
+                          journal_path=journal))
+        assert journal.read_bytes() == golden, jobs
+    header, *lines = golden.splitlines(keepends=True)
+    journal = tmp_path / "cut.jsonl"
+    for taken in range(1, len(lines) + 1):
+        journal.unlink(missing_ok=True)
+        results = evaluate_run(config, journal_path=journal)
+        for _ in zip(range(taken), results):
+            pass
+        results.close()
+        assert journal.read_bytes() == header + b"".join(lines[:taken])
+        list(evaluate_run(config, journal_path=journal))
+        assert journal.read_bytes() == golden, taken
+
+
 def test_one_worker_run_loads_no_process_pool_modules(golden_dir: Path):
     script = f"""
 import sys
