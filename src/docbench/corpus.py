@@ -275,7 +275,7 @@ def parse_gt_page(
 
 @dataclass(frozen=True)
 class CorpusIndex:
-    entries: dict[PageKey, Path]
+    entries: dict[PageKey, Path]  # in key order, which runs plan in
     label_presence: dict[str, frozenset[PageKey]]
     vocabulary: frozenset[str] = DEFAULT_LABELS
     skipped_files: tuple[str, ...] = ()

@@ -407,9 +407,15 @@ def score_document(
     """Full score set for one evaluation unit.
 
     extracted may be an extraction record (anything with a .tokens attribute)
-    or a bare token sequence.
+    or a bare token sequence. A non-empty extraction equal to the ground
+    truth, token for token, scores 1 on every score with no preparation or
+    kernel: each token is its own twin at any threshold and cost, and equal
+    collated texts have distance 0. Any other unit, one equal only after
+    case folding or NFC included, takes the counting path.
     """
     tokens = getattr(extracted, "tokens", extracted)
+    if tokens and tuple(tokens) == tuple(gt_tokens):
+        return DocumentScores(1.0, 1.0, 1.0, 1.0, len(tokens), len(tokens), ())
     ex, gx, found = _qualified_texts(tokens, gt_tokens, config)
     m, n = len(ex), len(gx)
     p = min(1.0, sum(t in found for t in ex) / m) if m else 0.0

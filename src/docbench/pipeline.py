@@ -7,9 +7,9 @@ Reruns skip units already journalled, so an interrupted run resumes where it
 stopped. Unit order is deterministic (sorted by page key, then label) and
 independent of the worker count. The parent turns the index into page plans,
 which are planned and scored in runs of whole documents: with one worker, by
-the parent one run at a time, so it holds one run's units however large the
-corpus is; with more, by pool workers, which parse their own ground-truth
-pages, while the parent writes their results in unit order.
+the parent one run at a time, so it holds one run's plans and units however
+large the corpus is; with more, by pool workers, which parse their own
+ground-truth pages, while the parent writes their results in unit order.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ import os
 import re
 from collections import deque
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from itertools import chain, groupby
 from pathlib import Path
 from typing import Container, Iterable, Iterator, Mapping, NamedTuple
@@ -117,20 +118,21 @@ def _unit_keys(key: PageKey, labels: Iterable[str]) -> list[UnitKey]:
     return [(*key, label) for label in labels]
 
 
-def _page_plans(index: CorpusIndex, config: RunConfig) -> list[PagePlan]:
-    """(key, path, the wanted labels the index lists) per page, sorted."""
+def _page_plans(index: CorpusIndex, config: RunConfig) -> Iterator[PagePlan]:
+    """(key, path, the wanted labels the index lists) per page, in the key
+    order of the index's entries. Each plan is made as it is taken, so a run
+    that takes them one run of documents at a time never holds them all."""
     wanted = sorted(set(config.labels))
     for label in wanted:
         if label not in index.vocabulary:
             logger.warning("label %r is outside the index vocabulary; "
                            "no units will be planned for it", label)
     presence = [(label, index.pages_with_label(label)) for label in wanted]
-    keys = set().union(*(pages for _, pages in presence))
-    if config.sample:
-        keys &= sample_by_month(index, *config.sample)
-    return [(key, str(index.entries[key]),
-             tuple([label for label, pages in presence if key in pages]))
-            for key in sorted(keys)]
+    sampled = sample_by_month(index, *config.sample) if config.sample else None
+    for key, path in index.entries.items():
+        labels = tuple([label for label, pages in presence if key in pages])
+        if labels and (sampled is None or key in sampled):
+            yield key, str(path), labels
 
 
 def _plan_pages(pages: Iterable[PagePlan], config: RunConfig,
@@ -304,33 +306,37 @@ def _release_pool() -> None:
         _pool = None
 
 
-def _evaluate_documents(pages: list[PagePlan], config: RunConfig,
+def _evaluate_documents(pages: Iterable[PagePlan], config: RunConfig,
                         vocabulary: frozenset[str], done: Mapping[UnitKey, UnitResult],
                         ) -> Iterator[UnitResult | UnitKey]:
-    """_evaluate_pages over every page: here, one run of at least _RUN_PAGES
-    pages at a time, with one worker or fewer than two documents with a
-    pending unit; else each run of at most _TASK_DOCUMENTS
-    documents (at least four pending ones per worker where there are enough)
-    is a pool task, sent the run's page plans and journalled unit keys. At
-    most two tasks per worker are in flight; closing the generator cancels
-    those not started. A pool that lost a worker raises BrokenProcessPool
-    once and is replaced on the next run."""
+    """_evaluate_pages over every page, in runs of whole documents: here,
+    one run of at least _RUN_PAGES pages at a time, with one worker (which
+    takes the plans from pages run by run, so it holds one run's plans) or
+    fewer than two documents with a pending unit; else each run of at most
+    _TASK_DOCUMENTS documents (at least four pending ones per worker where
+    there are enough) is a pool task, sent the run's page plans and
+    journalled unit keys. At most two tasks per worker are in flight;
+    closing the generator cancels those not started. A pool that lost a
+    worker raises BrokenProcessPool once and is replaced on the next run."""
     global _pool
     workers = worker_count(config.parallelism)
-    documents = [list(group) for _, group in groupby(
-        pages, key=lambda page: page[0].document_id)] if workers > 1 else []
-    pending = sum(not all(unit in done for key, _, labels in document
-                          for unit in _unit_keys(key, labels))
-                  for document in documents)
+    documents = (list(group) for _, group in groupby(
+        pages, key=lambda page: page[0].document_id))
+    pending = 0
+    if workers > 1:
+        documents = list(documents)
+        pending = sum(not all(unit in done for key, _, labels in document
+                              for unit in _unit_keys(key, labels))
+                      for document in documents)
     if pending < 2:
-        start = 0
-        while start < len(pages):
-            end = start + _RUN_PAGES
-            while (end < len(pages) and pages[end][0].document_id
-                   == pages[end - 1][0].document_id):
-                end += 1
-            yield from _evaluate_pages(pages[start:end], config, vocabulary, done)
-            start = end
+        run: list[PagePlan] = []
+        for document in documents:
+            run += document
+            if len(run) >= _RUN_PAGES:
+                yield from _evaluate_pages(run, config, vocabulary, done)
+                run = []
+        if run:
+            yield from _evaluate_pages(run, config, vocabulary, done)
         return
     from concurrent.futures.process import BrokenProcessPool
     size = min(_TASK_DOCUMENTS, -(-pending // (4 * workers)))
@@ -359,6 +365,10 @@ def _evaluate_documents(pages: list[PagePlan], config: RunConfig,
 # json.dumps(s, ensure_ascii=False) for a str, with one shared encoder.
 _encode = json.JSONEncoder(ensure_ascii=False).encode
 
+# _encode for labels and statuses, each encoded once: labels are validated
+# names from a run's config and there are three statuses, so it stays small.
+_encode_name = lru_cache(maxsize=None)(_encode)
+
 # The unit line's format, and from it the pattern of the lines it writes
 # whose strings json encodes as themselves: non-empty, with no '"', no '\'
 # and no control character. json reads a line the pattern matches in full
@@ -377,7 +387,7 @@ def unit_result_to_line(result: UnitResult) -> str:
     s = result.scores
     return _UNIT_LINE % (
         _encode(result.key.document_id), result.key.page_index,
-        _encode(result.label), _encode(result.status),
+        _encode_name(result.label), _encode_name(result.status),
         s.precision, s.recall, s.f1, s.accuracy, s.m, s.n)
 
 

@@ -15,8 +15,8 @@ from docbench.metrics import (DEFAULT_MATCH, EMPTY_EXTRACTION,
                               collate, edit_distance, f1, lev_ratio, precision,
                               recall, score_document, similarity_matrix)
 
-from oracles import (distance_full_table, distance_via_lcs, matrix_reference,
-                     prf_bruteforce, ratio_reference)
+from oracles import (accuracy_reference, distance_full_table, distance_via_lcs,
+                     matrix_reference, prf_bruteforce, ratio_reference)
 
 AUTHORS = ["Yuta", "Hamada", "Gary", "Shiu"]
 
@@ -596,6 +596,52 @@ def test_kernel_runs_only_for_tokens_without_an_exact_twin(monkeypatch):
     extracted = gt[:5] + ["noise"]
     score_document(extracted, gt)
     assert sorted(texts) == sorted(["noise", *gt[:5], collate(extracted)])
+
+
+def test_exact_extraction_scores_one_with_no_kernel_or_masks(monkeypatch):
+    """A non-empty extraction equal to the ground truth, token for token,
+    gets the oracles' scores without preparing tokens, reaching the kernel
+    or building masks; one equal only once casefolded and NFC-normalized,
+    and two empty sequences, still take the counting path."""
+    def refuse(*args):
+        raise AssertionError("_lane_hits reached by an exact extraction")
+
+    counted = []
+    qualified_texts = metrics._qualified_texts
+
+    def counting(*args):
+        counted.append(args)
+        return qualified_texts(*args)
+
+    monkeypatch.setattr(metrics, "_lane_hits", refuse)
+    monkeypatch.setattr(metrics, "_qualified_texts", counting)
+    rng = random.Random(2022)
+    units = [["Deep", "of", "Deep", "Deep"], ["", "a", ""],
+             ["\U0001d400x", "\U0001f600", "\u00e9"], ["Parsing"]]
+    units += [rng.choices([_fold_word(rng, rng.randint(0, 4)) for _ in range(4)],
+                          k=rng.randint(1, 8)) for _ in range(30)]
+    for tokens in units:
+        for cost in (1, 2):
+            for threshold in (0.0, 0.7, 1.0):
+                for fold in (False, True):
+                    config = MatchConfig(threshold=threshold, substitution_cost=cost,
+                                         case_sensitive=not fold, normalize_nfc=fold)
+                    prepared = [_prepared(t) for t in tokens] if fold else tokens
+                    p, r, f, _, _ = prf_bruteforce(
+                        matrix_reference(prepared, prepared, cost), threshold)
+                    acc = accuracy_reference(prepared, prepared, cost)
+                    metrics._masks.cache_clear()
+                    scores = score_document(list(tokens), tuple(tokens), config)
+                    assert metrics._masks.cache_info().misses == 0
+                    m = len(tokens)
+                    assert scores == (p, r, f, acc, m, m, ()), (tokens, config)
+    assert counted == []
+    config = MatchConfig(case_sensitive=False, normalize_nfc=True)
+    scores = score_document(["DEEP", "Pars\u0130ng"], ["deep", "pars\u0130ng"], config)
+    assert scores == (1.0, 1.0, 1.0, 1.0, 2, 2, ())
+    assert score_document([], [], config) == (
+        0.0, 0.0, 0.0, 1.0, 0, 0, (EMPTY_EXTRACTION, EMPTY_GROUND_TRUTH))
+    assert len(counted) == 2
 
 
 @pytest.mark.parametrize("cost", (1, 2))

@@ -947,28 +947,22 @@ def test_unreadable_file_is_logged_once(tmp_path: Path, caplog):
     assert [r.status for r in results] == [STATUS_ERROR] * 3
 
 
-def _dense_corpus(root: Path, documents: int) -> RunConfig:
-    """Two-page documents of 300 distinct paragraph tokens a page, with no
-    tool output."""
-    root.mkdir()
-    for d in range(documents):
-        for page in range(2):
-            (root / f"2101.{d:05d}_{page}.txt").write_text("".join(
-                f"w{d}p{page}t{i}\t0\t0\t1\t1\t0\t0\t0\tF\tparagraph\n"
-                for i in range(300)), encoding="utf-8")
-    return RunConfig(output_root=root / "none", gt_root=root,
-                     labels=("paragraph",), adapter=AdapterConfig("t", "text"))
-
-
-def test_one_worker_memory_is_bounded_by_the_run(tmp_path: Path, monkeypatch,
-                                                 count_gt_parses):
-    """A corpus four times larger peaks no higher: one run's units are held
-    at a time, and the first result waits for one run's parses only."""
-    monkeypatch.setattr(pipeline, "_RUN_PAGES", 2)
+def _one_worker_peaks(tmp_path: Path, sizes: tuple[int, ...], tokens: int):
+    """tracemalloc's peak over a one-worker run of each corpus, of that many
+    two-page documents with that many distinct paragraph tokens a page and
+    no tool output; and the last corpus's config and index."""
     peaks = []
-    for documents in (8, 8, 32):  # the first pass loads what scoring imports
-        config = _dense_corpus(tmp_path / f"gt{len(peaks)}", documents)
-        index = index_corpus(config.gt_root)
+    for documents in sizes:
+        root = tmp_path / f"gt{len(peaks)}"
+        root.mkdir()
+        for d in range(documents):
+            for page in range(2):
+                (root / f"2101.{d:05d}_{page}.txt").write_text("".join(
+                    f"w{d}p{page}t{i}\t0\t0\t1\t1\t0\t0\t0\tF\tparagraph\n"
+                    for i in range(tokens)), encoding="utf-8")
+        config = RunConfig(output_root=root / "none", gt_root=root,
+                           labels=("paragraph",), adapter=AdapterConfig("t", "text"))
+        index = index_corpus(root)
         gc.collect()
         tracemalloc.start()
         try:
@@ -977,14 +971,36 @@ def test_one_worker_memory_is_bounded_by_the_run(tmp_path: Path, monkeypatch,
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
+    return peaks, config, index
+
+
+def test_one_worker_memory_is_bounded_by_the_run(tmp_path: Path, monkeypatch,
+                                                 count_gt_parses):
+    """A corpus four times larger peaks no higher: one run's units are held
+    at a time, and the first result waits for one run's parses only."""
+    monkeypatch.setattr(pipeline, "_RUN_PAGES", 2)
+    # the first pass loads what scoring imports
+    peaks, config, index = _one_worker_peaks(tmp_path, (8, 8, 32), 300)
     _, small, large = peaks
-    # One page's tokens alone take ~20 KB; each added page's plan ~0.15 KB.
+    # One page's tokens alone take ~20 KB.
     assert large - small < 24 * 1024, peaks
     parsed = count_gt_parses()
     results = evaluate_run(config, index)
     next(results)
     assert parsed() == ["2101.00000:0", "2101.00000:1"]
     results.close()
+
+
+def test_one_worker_takes_page_plans_run_by_run(tmp_path: Path, monkeypatch):
+    """A corpus four times larger peaks no higher: with one worker each
+    page's plan is made when its run is taken, not for the whole corpus
+    before the first run. Both corpora are large enough that the
+    interpreter's free lists, which tracemalloc counts, have filled."""
+    monkeypatch.setattr(pipeline, "_RUN_PAGES", 2)
+    peaks, _, _ = _one_worker_peaks(tmp_path, (8, 128, 512), 1)
+    _, small, large = peaks
+    # Holding the 768 added pages' plans at once took ~145 KB.
+    assert large - small < 4 * 1024, peaks
 
 
 @pytest.mark.parametrize("run_pages", (1, 2))
