@@ -333,9 +333,14 @@ def _qualified_texts(rows: TokenSequence, lanes: TokenSequence, config: MatchCon
     some lane. The cheaper exact pass settles the lanes: the twins lead too,
     or each lone lane text trails and is read at the twins' lanes (the ratio
     is symmetric). So no more rows run than there are distinct row texts.
+    Under a case-sensitive config without NFC, preparing is the identity, so
+    rows and lanes are copied as they are.
     """
-    rx = [_prepare(t, config) for t in rows]
-    lx = [_prepare(t, config) for t in lanes]
+    if config.case_sensitive and not config.normalize_nfc:
+        rx, lx = list(rows), list(lanes)
+    else:
+        rx = [_prepare(t, config) for t in rows]
+        lx = [_prepare(t, config) for t in lanes]
     found = set(rx).intersection(lx)
     lone_lanes = [t for t in dict.fromkeys(lx) if t not in found] if columns else []
     read_lanes = len(lone_lanes) < len(found)

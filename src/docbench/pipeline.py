@@ -15,6 +15,7 @@ ground-truth pages, while the parent writes their results in unit order.
 from __future__ import annotations
 
 import atexit
+import errno
 import hashlib
 import json
 import logging
@@ -25,6 +26,7 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 from itertools import chain, groupby
 from pathlib import Path
+from stat import S_ISREG
 from typing import Container, Iterable, Iterator, Mapping, NamedTuple
 
 from . import __version__ as HARNESS_VERSION
@@ -69,8 +71,10 @@ class RunConfig:
             raise ConfigError(f"parallelism must be >= 1: {self.parallelism}")
 
 
-@dataclass(frozen=True)
-class EvaluationUnit:
+class EvaluationUnit(NamedTuple):
+    """One (page, label) unit to score. A NamedTuple, so it is built as a
+    tuple, and _evaluate_pages tells it from a journalled unit's key, a
+    plain tuple, by its type."""
     key: PageKey
     label: str
     gt_tokens: tuple[str, ...]
@@ -165,6 +169,23 @@ def _plan_pages(pages: Iterable[PagePlan], config: RunConfig,
     return units
 
 
+# The errors Path.is_file reads as "not a file"; any other OSError is raised.
+_NOT_A_FILE = frozenset((errno.ENOENT, errno.ENOTDIR, errno.EBADF, errno.ELOOP))
+
+
+def _is_file(path: str) -> bool:
+    """Path(path).is_file() in one stat of the string: False for an absent
+    path and for any path that is not a regular file."""
+    try:
+        return S_ISREG(os.stat(path).st_mode)
+    except ValueError:  # a NUL byte or a path the filesystem cannot encode
+        return False
+    except OSError as exc:
+        if exc.errno in _NOT_A_FILE:
+            return False
+        raise
+
+
 def resolve_output(
     unit: EvaluationUnit,
     config: RunConfig,
@@ -177,7 +198,10 @@ def resolve_output(
     output file's name relative to the output root to its records by label
     (each an ExtractionRecord or AdapterError), or to None when the file is
     missing, so a file is looked up and read at most once while the cache
-    lives. A file that does not parse is logged once, when it is read.
+    lives. The path is joined as a string and looked up with one stat: an
+    absent path and any path that is not a regular file are missing, any
+    other OS error is raised. A file that does not parse is an error
+    artifact, logged once, when it is read.
     Document-scope output is restricted to the items this unit's page-level
     ground truth covers.
     """
@@ -185,9 +209,9 @@ def resolve_output(
     name = adapter.output_path(unit.key.document_id, unit.key.page_index)
     fresh = cache is None or name not in cache
     if fresh:
-        path = Path(config.output_root, name)
+        path = os.path.join(config.output_root, name)
         records = (read_records(path, adapter, config.labels)
-                   if path.is_file() else None)
+                   if _is_file(path) else None)
         if cache is not None:
             cache[name] = records
     else:
@@ -196,8 +220,8 @@ def resolve_output(
         return None, STATUS_MISSING
     record = records.get(unit.label)
     if record is None:  # a label outside config.labels
-        record = read_records(Path(config.output_root, name), adapter,
-                              [unit.label])[unit.label]
+        record = read_records(os.path.join(config.output_root, name),
+                              adapter, [unit.label])[unit.label]
     if isinstance(record, AdapterError):
         if isinstance(record, PathTypeError):
             logger.warning("unreadable tool output for %s/%s: %s",
@@ -228,7 +252,7 @@ def _evaluate_pages(pages: list[PagePlan], config: RunConfig,
     tool-output cache."""
     cache, document = {}, None
     for unit in _plan_pages(pages, config, vocabulary, journalled):
-        if isinstance(unit, tuple):
+        if type(unit) is tuple:  # a journalled unit's key
             yield unit
             continue
         if unit.key.document_id != document:

@@ -443,10 +443,16 @@ def _check_precision_recall_against_oracles():
     thresholds = (0.0, 0.5, 0.7, 0.9, 1.0)
     shapes = set()
     for case in range(1500):
-        fold = case % 2 == 1
+        # every (case_sensitive, normalize_nfc) pair, with either cost
+        fold, nfc = case // 4 % 2 == 1, case // 8 % 2 == 1
         config = MatchConfig(threshold=thresholds[case % 5],
                              substitution_cost=1 + case // 2 % 2,
-                             case_sensitive=not fold, normalize_nfc=fold)
+                             case_sensitive=not fold, normalize_nfc=nfc)
+
+        def prepare(text: str) -> str:
+            text = text.casefold() if fold else text
+            return unicodedata.normalize("NFC", text) if nfc else text
+
         gt = [_fold_word(rng, rng.randint(0, 4)) for _ in range(rng.randint(0, 8))]
         gt += rng.choices(gt, k=rng.randint(0, 3)) if gt else []  # duplicates
         shape = rng.randrange(4)
@@ -461,19 +467,21 @@ def _check_precision_recall_against_oracles():
             extracted += [_fold_word(rng, rng.randint(0, 4))
                           for _ in range(rng.randint(0, 3))]
             extracted += rng.choices(extracted, k=rng.randint(0, 2)) if extracted else []
-        ex_p = [_prepared(t) for t in extracted] if fold else extracted
-        gt_p = [_prepared(t) for t in gt] if fold else gt
+        ex_p = [prepare(t) for t in extracted]
+        gt_p = [prepare(t) for t in gt]
         expected_p, expected_r, _, _, _ = prf_bruteforce(
             matrix_reference(ex_p, gt_p, config.substitution_cost), config.threshold)
         scores = score_document(extracted, gt, config)
         assert (scores.precision, scores.recall) == (expected_p, expected_r), \
             (case, extracted, gt)
-        shapes.add((shape, bool(gt), fold and any(
-            e != g and _prepared(e) == _prepared(g) for e in extracted for g in gt)))
-    # every shape met with and without ground truth, and twins only once prepared
-    assert {(s, has_gt) for s, has_gt, _ in shapes} == {
+        shapes.add((shape, bool(gt), fold, nfc, any(
+            e != g and prepare(e) == prepare(g) for e in extracted for g in gt)))
+    # every shape met with and without ground truth, and twins only once
+    # prepared under each config that prepares
+    assert {(s, has_gt) for s, has_gt, *_ in shapes} == {
         (s, has_gt) for s in range(4) for has_gt in (False, True)}
-    assert any(prepared_only for _, _, prepared_only in shapes)
+    assert {(f, n) for _, _, f, n, prepared_only in shapes if prepared_only} == {
+        (True, False), (False, True), (True, True)}
 
 
 @pytest.mark.parametrize("cost", (1, 2))

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
+import errno
 import gc
 import json
 import logging
@@ -800,7 +801,7 @@ def test_each_output_file_is_read_once_in_both_scopes(golden_dir: Path,
         calls: Counter = Counter()
 
         def counted(path, adapter, labels):
-            calls[path.name] += 1
+            calls[os.path.basename(path)] += 1
             return read(path, adapter, labels)
 
         journals = {}
@@ -831,21 +832,21 @@ def test_each_output_file_is_looked_up_once_per_document(golden_dir: Path,
         "page, no output": _golden_config(golden_dir, "null"),
         "document": RunConfig(**_doc_scope_corpus(tmp_path)),
     }
-    is_file, read = Path.is_file, pipeline.read_records
+    stat, read = os.stat, pipeline.read_records
     for scope, config in runs.items():
         looked: Counter = Counter()
         parsed: Counter = Counter()
 
-        def counted_is_file(path):
-            if path.parent == Path(config.output_root):
-                looked[path.name] += 1
-            return is_file(path)
+        def counted_stat(path, *args, **kwargs):
+            if os.path.dirname(path) == str(config.output_root):
+                looked[os.path.basename(path)] += 1
+            return stat(path, *args, **kwargs)
 
         def counted_read(path, adapter, labels):
-            parsed[path.name] += 1
+            parsed[os.path.basename(path)] += 1
             return read(path, adapter, labels)
 
-        monkeypatch.setattr(Path, "is_file", counted_is_file)
+        monkeypatch.setattr(os, "stat", counted_stat)
         monkeypatch.setattr(pipeline, "read_records", counted_read)
         results = list(evaluate_run(config))
         monkeypatch.undo()
@@ -855,6 +856,61 @@ def test_each_output_file_is_looked_up_once_per_document(golden_dir: Path,
         assert looked == Counter(names), scope
         assert parsed == Counter(name for name in names
                                  if (Path(config.output_root) / name).is_file())
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no FIFOs here")
+def test_output_path_that_is_not_a_regular_file(tmp_path: Path, monkeypatch,
+                                                capsys):
+    # A directory and a FIFO at an output path are missing output, and the
+    # FIFO is never opened, which would block the run. A stat that fails for
+    # any other reason stops eval as any other i/o error does.
+    from docbench import cli
+    gt_root, out_root = tmp_path / "gt", tmp_path / "out"
+    gt_root.mkdir()
+    out_root.mkdir()
+    for doc in range(3):
+        (gt_root / f"2101.{doc:05d}_0.txt").write_text(
+            "Deep\t0\t0\t1\t1\t0\t0\t0\tF\ttitle\n", encoding="utf-8")
+    (out_root / "2101.00000_0.json").mkdir()
+    os.mkfifo(out_root / "2101.00001_0.json")
+    (out_root / "2101.00002_0.json").write_text('{"title": "Deep"}',
+                                                encoding="utf-8")
+    adapter = tmp_path / "adapter.json"
+    adapter.write_text(json.dumps({"tool": "t", "format": "json",
+                                   "selectors": {"title": "title"}}),
+                       encoding="utf-8")
+    args = ["eval", "--gt-root", str(gt_root), "--tool-output", str(out_root),
+            "--adapter-config", str(adapter), "--labels", "title"]
+
+    def journalled(journal: Path) -> list[tuple[str, str]]:
+        lines = journal.read_text(encoding="utf-8").splitlines()[1:]
+        return [(line["doc"], line["status"]) for line in map(json.loads, lines)]
+
+    for jobs in ("1", "2"):
+        journal = tmp_path / f"jobs{jobs}.jsonl"
+        with _deadline(60):
+            assert cli.main([*args, "--journal", str(journal),
+                             "--jobs", jobs]) == 0
+        assert journalled(journal) == [("2101.00000", STATUS_MISSING),
+                                       ("2101.00001", STATUS_MISSING),
+                                       ("2101.00002", STATUS_SCORED)], jobs
+    capsys.readouterr()
+
+    denied, stat = os.path.join(out_root, "2101.00002_0.json"), os.stat
+
+    def refused(path, *rest, **kwargs):
+        if os.fspath(path) == denied:
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES),
+                                  os.fspath(path))
+        return stat(path, *rest, **kwargs)
+
+    monkeypatch.setattr(os, "stat", refused)
+    journal = tmp_path / "denied.jsonl"
+    assert cli.main([*args, "--journal", str(journal), "--jobs", "1"]) == 1
+    assert capsys.readouterr().err == (
+        f"[ERROR] i/o: [Errno 13] Permission denied: {denied!r}\n")
+    assert journalled(journal) == [("2101.00000", STATUS_MISSING),
+                                   ("2101.00001", STATUS_MISSING)]
 
 
 def _one_page_corpus(root: Path, tokens: dict[str, str]) -> Path:
