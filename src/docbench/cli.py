@@ -15,8 +15,9 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from . import __version__
-from .corpus import (DEFAULT_KEY_PATTERN, DEFAULT_LABELS, index_corpus,
-                     load_index, parse_gt_page, parse_page_key, save_index)
+from .corpus import (DEFAULT_KEY_PATTERN, DEFAULT_LABELS, find_files,
+                     index_corpus, load_index, parse_gt_page, parse_page_key,
+                     save_index)
 from .errors import (AdapterError, ConfigError, DocbenchError, KeyParseError,
                      PathTypeError)
 
@@ -67,7 +68,7 @@ def cmd_index(args: argparse.Namespace) -> int:
     print(f"[INFO] indexed {len(index)} pages under {_printable(args.gt_root)}")
     if index.skipped_files:
         print(f"[WARN] skipped {len(index.skipped_files)} files with "
-              "unrecognized or non-UTF-8 names")
+              "unrecognized or non-UTF-8 names, or not regular files")
     for label in sorted(index.label_presence):
         print(f"[INFO]   {label}: {len(index.label_presence[label])} pages")
     return EXIT_OK
@@ -157,15 +158,14 @@ def cmd_chart(args: argparse.Namespace) -> int:
 
 
 def _validate_gt_root(args: argparse.Namespace, findings: list[str]) -> None:
-    root = Path(args.gt_root)
-    if not root.is_dir():
-        raise NotADirectoryError(f"not a directory: {root}")
+    files, others = find_files(args.gt_root, ".txt")
     vocabulary = _vocabulary(args)
-    for path in sorted(root.rglob("*.txt")):
+    findings.extend(f"{path}: not a regular file" for path in others)
+    for path in files:
         try:
             parse_page_key(path, args.pattern)
         except KeyParseError as exc:  # names the file by repr
-            findings.append(f"{path.parent}: {exc}")
+            findings.append(f"{os.path.dirname(path) or '.'}: {exc}")
             continue
         page = parse_gt_page(path, vocabulary, args.pattern, strict=False)
         for issue in page.issues:
@@ -188,20 +188,16 @@ def _validate_tool_output(args: argparse.Namespace, findings: list[str]) -> None
     adapter = _validate_adapter_config(args.adapter_config, findings)
     if adapter is None:
         return
-    root = Path(args.tool_output)
-    if not root.is_dir():
-        raise NotADirectoryError(f"not a directory: {root}")
-    labels = sorted(adapter.compiled)
-    if not labels:
-        findings.append(f"{args.adapter_config}: selector map is empty")
-        return
     # The files of the template's literal extension; all if it holds a field.
     suffix = Path(adapter.effective_path_template).suffix
     if "{" in suffix or "}" in suffix:
         suffix = ""
-    for path in sorted(root.rglob("*")):
-        if not path.name.endswith(suffix) or not path.is_file():
-            continue
+    files = find_files(args.tool_output, suffix)[0]
+    labels = sorted(adapter.compiled)
+    if not labels:
+        findings.append(f"{args.adapter_config}: selector map is empty")
+        return
+    for path in files:
         for label, record in read_records(path, adapter, labels).items():
             if isinstance(record, PathTypeError):  # this label's path alone
                 findings.append(f"{path}: label {label!r}: {record}")

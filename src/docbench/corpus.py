@@ -11,6 +11,7 @@ derived from the filename through a configurable regular expression.
 
 from __future__ import annotations
 
+import errno
 import functools
 import json
 import logging
@@ -19,7 +20,9 @@ import os
 import re
 import unicodedata
 from dataclasses import dataclass
+from operator import attrgetter
 from pathlib import Path
+from stat import S_ISREG
 from typing import NamedTuple
 
 from .errors import ConfigError, KeyParseError, MalformedRecord, UnknownLabel
@@ -206,6 +209,56 @@ def parse_page_key(filename: str | Path, pattern: str = DEFAULT_KEY_PATTERN) -> 
                             f"{doc!r}, page {page!r}") from None
 
 
+def read_bytes(path: str | os.PathLike[str]) -> bytes:
+    """The bytes open(path, "rb").read() gives, in raw reads. The file is
+    opened without blocking and must be a regular file: any other (a
+    directory, a FIFO, a device) raises OSError, so none can hang the read."""
+    fd = os.open(path, os.O_RDONLY | os.O_NONBLOCK)
+    try:
+        status = os.fstat(fd)
+        if not S_ISREG(status.st_mode):
+            raise OSError(errno.EINVAL, "Not a regular file", path)
+        chunks = []
+        size = status.st_size + 1  # one read to the end if the size holds
+        while chunk := os.read(fd, size):
+            chunks.append(chunk)
+            size *= 2  # few reads for a file that grows or reports size 0
+        return b"".join(chunks)
+    finally:
+        os.close(fd)
+
+
+def find_files(root: str | os.PathLike[str], suffix: str) -> tuple[list[str], list[str]]:
+    """The regular files under root whose names end with suffix, and the
+    other entries so named (directories, FIFOs, broken links, ...), each in
+    the order sorted(Path(root).rglob("*" + suffix)) gives: by path
+    components, each path spelt as pathlib spells it. A symbolic link to a
+    file is a file; as with rglob, no link to a directory is descended and a
+    directory that may not be listed is passed over. A root that is not a
+    directory raises NotADirectoryError."""
+    base = str(Path(root))
+    if not os.path.isdir(base):
+        raise NotADirectoryError(f"not a directory: {base}")
+    files: list[str] = []
+    others: list[str] = []
+
+    def walk(prefix: str) -> None:
+        try:
+            with os.scandir(prefix or ".") as listing:
+                entries = sorted(listing, key=attrgetter("name"))
+        except PermissionError:
+            return
+        for entry in entries:
+            path = prefix + entry.name
+            if entry.name.endswith(suffix):
+                (files if entry.is_file() else others).append(path)
+            if entry.is_dir(follow_symlinks=False):
+                walk(path + "/")
+
+    walk("" if base == "." else os.path.join(base, ""))
+    return files, others
+
+
 def parse_gt_page(
     path: str | Path,
     vocabulary: frozenset[str] = DEFAULT_LABELS,
@@ -219,8 +272,7 @@ def parse_gt_page(
     on the returned page; strict mode raises on the first problem.
     """
     key = parse_page_key(path, pattern)
-    with open(path, "rb") as handle:
-        data = handle.read()
+    data = read_bytes(path)
     issues: list[ParseIssue] = []
     try:
         text = data.decode("utf-8")
@@ -275,7 +327,7 @@ def parse_gt_page(
 
 @dataclass(frozen=True)
 class CorpusIndex:
-    entries: dict[PageKey, Path]  # in key order, which runs plan in
+    entries: dict[PageKey, str]  # page paths in key order, which runs plan in
     label_presence: dict[str, frozenset[PageKey]]
     vocabulary: frozenset[str] = DEFAULT_LABELS
     skipped_files: tuple[str, ...] = ()
@@ -296,24 +348,25 @@ def index_corpus(
 
     This is a fast pass over the label field only; it does not validate
     coordinates or colours. Files whose names do not match the key pattern,
-    or whose paths are not valid UTF-8, are skipped with a warning.
+    or whose paths are not valid UTF-8, and entries named like pages that
+    are not regular files are skipped with a warning.
     """
-    root = Path(root)
-    if not root.is_dir():
-        raise NotADirectoryError(f"corpus root is not a directory: {root}")
-    found: dict[PageKey, Path] = {}
+    found: dict[PageKey, str] = {}
     presence: dict[str, set[PageKey]] = {}
-    skipped: list[str] = []
-    for path in sorted(root.rglob("*.txt")):
+    files, others = find_files(root, ".txt")
+    skipped = [os.path.basename(path) for path in others]
+    for path in others:
+        logger.warning("skipping a ground-truth entry that is not a regular "
+                       "file: %r", path)
+    for path in files:
         try:
             key = parse_page_key(path, pattern)
         except KeyParseError as exc:
-            skipped.append(path.name)
+            skipped.append(os.path.basename(path))
             logger.warning("skipping a ground-truth file: %s", exc)
             continue
         found[key] = path
-        with open(path, "rb") as handle:
-            text = handle.read().decode("utf-8", errors="replace")
+        text = read_bytes(path).decode("utf-8", errors="replace")
         # "\n" ends any invalid UTF-8 sequence, so each line decodes here as
         # it would alone, and as parse_gt_page reads it.
         labels = set()
@@ -365,7 +418,7 @@ def save_index(index: CorpusIndex, path: str | Path) -> None:
         "format_version": INDEX_FORMAT_VERSION,
         "vocabulary": sorted(index.vocabulary),
         "entries": [{"doc": key.document_id, "page": key.page_index,
-                     "path": str(page_path), "labels": labels[key]}
+                     "path": page_path, "labels": labels[key]}
                     for key, page_path in index.entries.items()],
     }
     # No indent, so json encodes with its C encoder.
@@ -394,19 +447,20 @@ def load_index(path: str | Path) -> CorpusIndex:
     if not isinstance(listed, list) or not _strings(payload.get("vocabulary")):
         raise ConfigError(f"index cache {path} lacks a list of entries or "
                           "of vocabulary strings")
-    entries: dict[PageKey, Path] = {}
+    entries: dict[PageKey, str] = {}
     presence: dict[str, set[PageKey]] = {}
+    documents: dict[str, str] = {}  # one id string for a document's pages
     for number, entry in enumerate(listed):
         try:
             doc, page, labels = entry["doc"], entry["page"], entry["labels"]
             if not (isinstance(doc, str) and type(page) is int
                     and isinstance(entry["path"], str) and _strings(labels)):
                 raise TypeError
-            key = PageKey(doc, page)
+            key = PageKey(documents.setdefault(doc, doc), page)
         except (KeyError, TypeError, ValueError):
             raise ConfigError(f"index cache {path}: entry {number} is not a "
                               "page key with a path and labels") from None
-        entries[key] = Path(entry["path"])
+        entries[key] = entry["path"]
         for label in labels:
             presence.setdefault(label, set()).add(key)
     entries = {key: entries[key] for key in sorted(entries)}

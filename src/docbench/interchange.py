@@ -35,7 +35,7 @@ from functools import partial
 from pathlib import Path
 from typing import Iterable
 
-from .corpus import validate_label
+from .corpus import read_bytes, validate_label
 from .errors import (AdapterError, ConfigError, CsvParseError, JsonParseError,
                      PathTypeError, XmlParseError)
 from .metrics import DEFAULT_MATCH, MatchConfig, _qualified_texts, collate
@@ -316,8 +316,7 @@ def read_records(
     the caller names the file. AdapterConfig checks every selector when it
     loads, so no selector fails here.
     """
-    with open(path, "rb") as handle:
-        data = handle.read()
+    data = read_bytes(path)
     try:
         text, flags = data.decode("utf-8"), ()
     except UnicodeDecodeError:

@@ -136,7 +136,7 @@ def _page_plans(index: CorpusIndex, config: RunConfig) -> Iterator[PagePlan]:
     for key, path in index.entries.items():
         labels = tuple([label for label, pages in presence if key in pages])
         if labels and (sampled is None or key in sampled):
-            yield key, str(path), labels
+            yield key, path, labels
 
 
 def _plan_pages(pages: Iterable[PagePlan], config: RunConfig,

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import contextlib
+import signal
 from pathlib import Path
 
 import pytest
@@ -11,3 +13,21 @@ GOLDEN = FIXTURES / "golden"
 @pytest.fixture
 def golden_dir() -> Path:
     return GOLDEN
+
+
+@pytest.fixture
+def deadline():
+    """deadline(seconds) is a context manager that raises TimeoutError in its
+    block once the seconds are up, so a call that blocks fails the test."""
+    @contextlib.contextmanager
+    def within(seconds: int):
+        def expire(signum, frame):
+            raise TimeoutError(f"no result within {seconds} s")
+        previous = signal.signal(signal.SIGALRM, expire)
+        signal.alarm(seconds)
+        try:
+            yield
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+    return within

@@ -598,6 +598,12 @@ def test_validate_gt_findings(tmp_path: Path):
     assert proc.returncode == 3
     assert proc.stdout.count("[FINDING]") == 3
     assert "[INFO] 3 findings" in proc.stdout
+    # an unkeyed file is named by its directory, as pathlib spells it
+    import docbench
+    proc = _run("validate", "--gt-root", ".", cwd=root, env={
+        "PYTHONPATH": str(Path(docbench.__file__).resolve().parents[1])})
+    assert ("[FINDING] .: filename does not match key pattern: "
+            "'unkeyed.txt'") in proc.stdout.splitlines()
 
 
 def test_validate_extra_labels_widen_the_vocabulary(tmp_path: Path):

@@ -2,17 +2,20 @@ from __future__ import annotations
 
 import json
 import logging
+import os
 import pickle
 import random
 import re
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 from docbench.corpus import (DEFAULT_KEY_PATTERN, DEFAULT_LABELS, CorpusIndex,
-                             PageKey, index_corpus, load_index, parse_gt_page,
-                             parse_gt_record, parse_page_key, sample_by_month,
-                             save_index, validate_label)
+                             PageKey, find_files, index_corpus, load_index,
+                             parse_gt_page, parse_gt_record, parse_page_key,
+                             read_bytes, sample_by_month, save_index,
+                             validate_label)
 from docbench.errors import (ConfigError, KeyParseError, MalformedRecord,
                              UnknownLabel)
 from oracles import gt_page_reference
@@ -277,6 +280,90 @@ def test_index_corpus_skips_unparseable_names(tmp_path: Path, caplog):
 def test_index_corpus_rejects_missing_root(tmp_path: Path):
     with pytest.raises(NotADirectoryError):
         index_corpus(tmp_path / "absent")
+
+
+def test_walk_lists_what_sorted_rglob_lists(tmp_path: Path, monkeypatch):
+    gt = tmp_path / "gt"
+    # a-b/ sorts before a/ as a string but after it by path parts; both hold
+    # page 1401.0001_0, so the index keeps the path under a-b/.
+    for name in ("a-b/1401.0001_0.txt", "a/1401.0001_0.txt",
+                 "a/b/c/1401.0002_0.txt", ".hidden/1401.0003_0.txt",
+                 ".1401.0004_0.txt", "a.b/1401.0005_0.txt", "Z/1401.0006_0.txt",
+                 "1401.0007_1.txt", "notes.md", "scratch.txt"):
+        (gt / name).parent.mkdir(parents=True, exist_ok=True)
+        (gt / name).write_text(GOOD_LINE + "\n", encoding="utf-8")
+    (tmp_path / "elsewhere").mkdir()
+    (tmp_path / "elsewhere" / "1401.0008_0.txt").write_text(GOOD_LINE + "\n",
+                                                            encoding="utf-8")
+    (gt / "1401.0009_0.txt").symlink_to(gt / "Z" / "1401.0006_0.txt")
+    (gt / "linked").symlink_to(tmp_path / "elsewhere", target_is_directory=True)
+    for here, root in ((".", "gt"), (".", "gt/"), (".", "./gt"),
+                       (".", str(gt)), ("gt", ".")):
+        monkeypatch.chdir(tmp_path / here)
+        listed = [str(path) for path in sorted(Path(root).rglob("*.txt"))]
+        assert find_files(root, ".txt") == (listed, []), root
+        parent = {}  # what the rglob walk kept: the last path of each key
+        for path in listed:
+            if os.path.basename(path) != "scratch.txt":
+                parent[parse_page_key(path)] = path
+        index = index_corpus(root)
+        assert list(index.entries.items()) == sorted(parent.items()), root
+        assert index.entries[PageKey("1401.0001", 0)].endswith(
+            os.path.join("a-b", "1401.0001_0.txt"))
+        assert PageKey("1401.0008", 0) not in index.entries
+        saved = tmp_path / "index.json"
+        save_index(index, saved)
+        assert [entry["path"] for entry in json.loads(
+            saved.read_text(encoding="utf-8"))["entries"]] == [
+            path for _, path in sorted(parent.items())]
+
+
+@pytest.mark.parametrize("data", [
+    b"", b"x", bytes(range(256)) * 256, bytes(range(256)) * 256 + b"!",
+    random.Random(1).randbytes(1 << 20), b"tok\xff\xfe\tx\n\xc3"],
+    ids=["0", "1", "65536", "65537", "1MB", "invalid-utf8"])
+def test_read_bytes_reads_what_open_reads(tmp_path: Path, data: bytes):
+    path = tmp_path / "page.txt"
+    path.write_bytes(data)
+    with open(path, "rb") as handle:
+        assert read_bytes(str(path)) == handle.read() == data
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no FIFOs here")
+def test_read_bytes_refuses_what_is_not_a_regular_file(tmp_path: Path,
+                                                      deadline):
+    with pytest.raises(FileNotFoundError):
+        read_bytes(str(tmp_path / "absent.txt"))
+    os.mkfifo(tmp_path / "fifo.txt")
+    for path in (tmp_path, tmp_path / "fifo.txt"):
+        with deadline(30), pytest.raises(OSError, match="Not a regular file"):
+            read_bytes(str(path))
+
+
+def test_load_index_holds_few_bytes_a_page(tmp_path: Path):
+    # 1000 pages of 500 two-page documents, four labels each. Each entry
+    # holds its key, its path string and its label memberships; the pages of
+    # a document share one id string.
+    path = tmp_path / "index.json"
+    path.write_text(json.dumps({
+        "format_version": 1, "vocabulary": sorted(DEFAULT_LABELS),
+        "entries": [{"doc": f"2101.{p // 2:05d}", "page": p % 2,
+                     "path": f"corpus/gt/2101.{p // 2:05d}_{p % 2}.txt",
+                     "labels": ["author", "footer", "section", "title"]}
+                    for p in range(1000)]}), encoding="utf-8")
+    load_index(path)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        index = load_index(path)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert held <= 400 * len(index) and len(index) == 1000
+    assert all(type(value) is str for value in index.entries.values())
+    keys = list(index.entries)
+    assert all(first.document_id is second.document_id
+               for first, second in zip(keys[::2], keys[1::2]))
 
 
 def test_sample_by_month(golden_dir: Path):

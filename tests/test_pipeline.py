@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import contextlib
 import dataclasses
 import errno
 import gc
@@ -860,7 +859,7 @@ def test_each_output_file_is_looked_up_once_per_document(golden_dir: Path,
 
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no FIFOs here")
 def test_output_path_that_is_not_a_regular_file(tmp_path: Path, monkeypatch,
-                                                capsys):
+                                                capsys, deadline):
     # A directory and a FIFO at an output path are missing output, and the
     # FIFO is never opened, which would block the run. A stat that fails for
     # any other reason stops eval as any other i/o error does.
@@ -888,7 +887,7 @@ def test_output_path_that_is_not_a_regular_file(tmp_path: Path, monkeypatch,
 
     for jobs in ("1", "2"):
         journal = tmp_path / f"jobs{jobs}.jsonl"
-        with _deadline(60):
+        with deadline(60):
             assert cli.main([*args, "--journal", str(journal),
                              "--jobs", jobs]) == 0
         assert journalled(journal) == [("2101.00000", STATUS_MISSING),
@@ -911,6 +910,59 @@ def test_output_path_that_is_not_a_regular_file(tmp_path: Path, monkeypatch,
         f"[ERROR] i/o: [Errno 13] Permission denied: {denied!r}\n")
     assert journalled(journal) == [("2101.00000", STATUS_MISSING),
                                    ("2101.00001", STATUS_MISSING)]
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no FIFOs here")
+def test_ground_truth_entry_that_is_not_a_regular_file(tmp_path: Path, capsys,
+                                                      deadline):
+    # A FIFO and a directory named like pages are skipped by index and are
+    # findings of validate; neither is opened, so neither blocks. A listed
+    # page that is a FIFO by the time eval reads it stops eval as a vanished
+    # page does.
+    from docbench import cli
+    gt_root, out_root = tmp_path / "gt", tmp_path / "out"
+    gt_root.mkdir()
+    out_root.mkdir()
+    for doc in range(3):
+        (gt_root / f"2101.{doc:05d}_0.txt").write_text(
+            "Deep\t0\t0\t1\t1\t0\t0\t0\tF\ttitle\n", encoding="utf-8")
+        (out_root / f"2101.{doc:05d}_0.json").write_text('{"title": "Deep"}',
+                                                         encoding="utf-8")
+    fifo, directory = gt_root / "2101.00003_0.txt", gt_root / "2101.00004_0.txt"
+    os.mkfifo(fifo)
+    directory.mkdir()
+    index = tmp_path / "index.json"
+    with deadline(60):
+        assert cli.main(["index", "--gt-root", str(gt_root),
+                         "--out", str(index)]) == 0
+        assert cli.main(["validate", "--gt-root", str(gt_root)]) == 3
+    out = capsys.readouterr().out.splitlines()
+    assert out[:2] == [f"[INFO] indexed 3 pages under {gt_root}",
+                       "[WARN] skipped 2 files with unrecognized or non-UTF-8 "
+                       "names, or not regular files"]
+    assert out[-3:] == [f"[FINDING] {fifo}: not a regular file",
+                        f"[FINDING] {directory}: not a regular file",
+                        "[INFO] 2 findings"]
+    assert [entry["doc"] for entry in json.loads(
+        index.read_text(encoding="utf-8"))["entries"]] == [
+        "2101.00000", "2101.00001", "2101.00002"]
+
+    adapter = tmp_path / "adapter.json"
+    adapter.write_text(json.dumps({"tool": "t", "format": "json",
+                                   "selectors": {"title": "title"}}),
+                       encoding="utf-8")
+    page = gt_root / "2101.00002_0.txt"
+    for make in (lambda: None, lambda: os.mkfifo(page)):
+        page.unlink(missing_ok=True)
+        make()
+        for jobs in ("1", "2"):
+            with deadline(60):
+                assert cli.main([
+                    "eval", "--index", str(index), "--tool-output",
+                    str(out_root), "--adapter-config", str(adapter),
+                    "--labels", "title", "--jobs", jobs,
+                    "--journal", str(tmp_path / f"jobs{jobs}.jsonl")]) == 1
+            assert capsys.readouterr().err.startswith("[ERROR] i/o: "), jobs
 
 
 def _one_page_corpus(root: Path, tokens: dict[str, str]) -> Path:
@@ -1112,22 +1164,9 @@ print(sorted({{"multiprocessing", "concurrent.futures.process"}} & set(sys.modul
     assert proc.stdout.strip() == "[]"
 
 
-@contextlib.contextmanager
-def _deadline(seconds: int):
-    def expire(signum, frame):
-        raise TimeoutError(f"no result within {seconds} s")
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.alarm(seconds)
-    try:
-        yield
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
-
-
 @pytest.mark.skipif(worker_count(2) < 2, reason="a worker pool needs 2 CPUs")
 def test_killed_worker_breaks_one_run_then_a_fresh_pool_serves(
-        golden_dir: Path, tmp_path: Path):
+        golden_dir: Path, tmp_path: Path, deadline):
     sequential = tmp_path / "seq.jsonl"
     list(evaluate_run(_golden_config(golden_dir, "partial"),
                       journal_path=sequential))
@@ -1137,7 +1176,7 @@ def test_killed_worker_breaks_one_run_then_a_fresh_pool_serves(
     os.kill(victim.pid, signal.SIGKILL)
     assert wait([victim.sentinel], timeout=30)
     parallel = tmp_path / "par.jsonl"
-    with _deadline(60):
+    with deadline(60):
         with pytest.raises(BrokenProcessPool):
             list(evaluate_run(config))
         list(evaluate_run(config, journal_path=parallel))
