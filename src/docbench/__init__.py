@@ -21,14 +21,14 @@ _EXPORTS = {
                "parse_gt_page", "parse_gt_record", "parse_page_key",
                "sample_by_month", "save_index"),
     "errors": (),
+    "journal": ("UnitResult", "read_journal"),
     "interchange": ("AdapterConfig", "ExtractionRecord", "load_adapter_config",
                     "read_records", "tokenize"),
     "metrics": ("DocumentScores", "MatchConfig", "SimilarityMatrix", "accuracy",
                 "collate", "edit_distance", "f1", "lev_ratio", "precision",
                 "recall", "score_document", "similarity_matrix"),
-    "pipeline": ("EvaluationUnit", "RunConfig", "UnitResult", "config_hash",
-                 "evaluate_run", "read_journal", "resolve_output", "score_unit",
-                 "zero_score_labels"),
+    "pipeline": ("EvaluationUnit", "RunConfig", "config_hash", "evaluate_run",
+                 "resolve_output", "score_unit", "zero_score_labels"),
     "report": ("TASKS", "AggregateRow", "TaskSummary", "aggregate",
                "all_task_summaries", "cumulative_f1", "emit_bar_chart",
                "emit_report", "round_half_even"),

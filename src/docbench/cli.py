@@ -68,7 +68,8 @@ def cmd_index(args: argparse.Namespace) -> int:
     print(f"[INFO] indexed {len(index)} pages under {_printable(args.gt_root)}")
     if index.skipped_files:
         print(f"[WARN] skipped {len(index.skipped_files)} files with "
-              "unrecognized or non-UTF-8 names, or not regular files")
+              "unrecognized or non-UTF-8 names, not regular files, or "
+              "repeated page keys")
     for label in sorted(index.label_presence):
         print(f"[INFO]   {label}: {len(index.label_presence[label])} pages")
     return EXIT_OK
@@ -119,17 +120,19 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def _collect_rows(args: argparse.Namespace):
-    from .pipeline import HARNESS_NAME, HARNESS_VERSION, read_journal
+    from .journal import HARNESS_NAME, open_journal, read_units
     from .report import aggregate
     rows = []
     hashes = []
-    for journal in args.journal:
-        header, results = read_journal(journal)
-        tool = args.tool or (header or {}).get("tool") or "unknown"
-        rows.extend(aggregate(results, tool=tool))
-        hashes.append((header or {}).get("config", "-"))
+    for path in args.journal:
+        with open_journal(path) as journal:
+            units = read_units(journal)
+            header = next(units) or {}
+            tool = args.tool or header.get("tool") or "unknown"
+            rows.extend(aggregate(units, tool=tool))
+        hashes.append(header.get("config", "-"))
     rows.sort(key=lambda row: (row.tool, row.label))
-    stamp = (f"{HARNESS_NAME} {HARNESS_VERSION} "
+    stamp = (f"{HARNESS_NAME} {__version__} "
              f"tool={','.join(sorted({r.tool for r in rows})) or 'none'} "
              f"config={','.join(hashes)}")
     return rows, stamp
@@ -161,12 +164,16 @@ def _validate_gt_root(args: argparse.Namespace, findings: list[str]) -> None:
     files, others = find_files(args.gt_root, ".txt")
     vocabulary = _vocabulary(args)
     findings.extend(f"{path}: not a regular file" for path in others)
+    pages: dict = {}  # page key -> the first file with it, which index keeps
     for path in files:
         try:
-            parse_page_key(path, args.pattern)
+            key = parse_page_key(path, args.pattern)
         except KeyParseError as exc:  # names the file by repr
             findings.append(f"{os.path.dirname(path) or '.'}: {exc}")
             continue
+        if pages.setdefault(key, path) != path:
+            findings.append(f"{path}: page {key} is already {pages[key]}, "
+                            "so index skips this file")
         page = parse_gt_page(path, vocabulary, args.pattern, strict=False)
         for issue in page.issues:
             findings.append(f"{path}:{issue.line_no}: [{issue.kind}] {issue.message}")

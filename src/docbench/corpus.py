@@ -348,8 +348,9 @@ def index_corpus(
 
     This is a fast pass over the label field only; it does not validate
     coordinates or colours. Files whose names do not match the key pattern,
-    or whose paths are not valid UTF-8, and entries named like pages that
-    are not regular files are skipped with a warning.
+    or whose paths are not valid UTF-8, entries named like pages that are
+    not regular files, and each file after the first in walk order with a
+    page's key are skipped with a warning.
     """
     found: dict[PageKey, str] = {}
     presence: dict[str, set[PageKey]] = {}
@@ -364,6 +365,11 @@ def index_corpus(
         except KeyParseError as exc:
             skipped.append(os.path.basename(path))
             logger.warning("skipping a ground-truth file: %s", exc)
+            continue
+        if key in found:
+            skipped.append(os.path.basename(path))
+            logger.warning("skipping ground-truth file %r: page %s is %r",
+                           path, key, found[key])
             continue
         found[key] = path
         text = read_bytes(path).decode("utf-8", errors="replace")
@@ -435,7 +441,7 @@ def load_index(path: str | Path) -> CorpusIndex:
     """Load a JSON cache produced by save_index. A cache that is not UTF-8
     JSON of that shape raises ConfigError."""
     try:
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
+        payload = json.loads(read_bytes(path).decode("utf-8"))
     except ValueError as exc:  # UnicodeDecodeError, JSONDecodeError
         raise ConfigError(f"index cache {path} is not UTF-8 JSON: {exc}") from None
     if not isinstance(payload, dict):

@@ -20,32 +20,25 @@ import hashlib
 import json
 import logging
 import os
-import re
 from collections import deque
 from dataclasses import dataclass, replace
-from functools import lru_cache
 from itertools import chain, groupby
 from pathlib import Path
 from stat import S_ISREG
 from typing import Container, Iterable, Iterator, Mapping, NamedTuple
 
-from . import __version__ as HARNESS_VERSION
 from .corpus import (DEFAULT_KEY_PATTERN, DEFAULT_LABELS, CorpusIndex,
                      PageKey, index_corpus, parse_gt_page, sample_by_month,
                      validate_label)
 from .errors import AdapterError, ConfigError, PathTypeError
 from .interchange import (AdapterConfig, ExtractionRecord, read_records,
                           restrict_units)
-from .metrics import DEFAULT_MATCH, DocumentScores, MatchConfig, score_document
+from .journal import (STATUS_ERROR, STATUS_MISSING, STATUS_SCORED, UnitKey,
+                      UnitResult, resume_journal, unit_result_to_line)
+from .journal import read_journal  # noqa: F401  (the name perfbench calls)
+from .metrics import DEFAULT_MATCH, MatchConfig, score_document
 
 logger = logging.getLogger(__name__)
-
-HARNESS_NAME = "docbench"
-JOURNAL_FORMAT_VERSION = 1
-
-STATUS_SCORED = "scored"
-STATUS_MISSING = "tool_output_missing"
-STATUS_ERROR = "tool_error_artifact"
 
 
 @dataclass(frozen=True)
@@ -80,13 +73,6 @@ class EvaluationUnit(NamedTuple):
     gt_tokens: tuple[str, ...]
 
 
-class UnitResult(NamedTuple):
-    key: PageKey
-    label: str
-    status: str
-    scores: DocumentScores
-
-
 def config_hash(config: RunConfig) -> str:
     """Fingerprint of everything that can change scores.
 
@@ -114,7 +100,6 @@ def config_hash(config: RunConfig) -> str:
     return digest.hexdigest()[:12]
 
 
-UnitKey = tuple[str, int, str]
 PagePlan = tuple[PageKey, str, tuple[str, ...]]
 
 
@@ -386,131 +371,6 @@ def _evaluate_documents(pages: Iterable[PagePlan], config: RunConfig,
             future.cancel()
 
 
-# json.dumps(s, ensure_ascii=False) for a str, with one shared encoder.
-_encode = json.JSONEncoder(ensure_ascii=False).encode
-
-# _encode for labels and statuses, each encoded once: labels are validated
-# names from a run's config and there are three statuses, so it stays small.
-_encode_name = lru_cache(maxsize=None)(_encode)
-
-# The unit line's format, and from it the pattern of the lines it writes
-# whose strings json encodes as themselves: non-empty, with no '"', no '\'
-# and no control character. json reads a line the pattern matches in full
-# as the groups' strings and the groups' int() and float() values, so
-# _read_journal reads such a line from its groups, and any other as JSON.
-_UNIT_LINE = ('{"doc":%s,"page":%d,"label":%s,"status":%s,'
-              '"p":%.6f,"r":%.6f,"f1":%.6f,"acc":%.6f,"m":%d,"n":%d}')
-_match_unit_line = re.compile(
-    re.escape(_UNIT_LINE).replace("%s", r'"([^"\\\x00-\x1f]+)"')
-    .replace("%d", "(0|[1-9][0-9]*)").replace(r"%\.6f", r"([0-9]\.[0-9]{6})")
-).fullmatch
-
-
-def unit_result_to_line(result: UnitResult) -> str:
-    """One journal line; score fields carry exactly six decimals."""
-    s = result.scores
-    return _UNIT_LINE % (
-        _encode(result.key.document_id), result.key.page_index,
-        _encode_name(result.label), _encode_name(result.status),
-        s.precision, s.recall, s.f1, s.accuracy, s.m, s.n)
-
-
-def journal_header(config: RunConfig) -> str:
-    return json.dumps({
-        "kind": "header",
-        "format_version": JOURNAL_FORMAT_VERSION,
-        "harness": HARNESS_NAME,
-        "version": HARNESS_VERSION,
-        "tool": config.adapter.tool,
-        "config": config_hash(config),
-    }, ensure_ascii=False, separators=(",", ":"))
-
-
-# A namedtuple from all its fields, without its generated Python __new__.
-_new = tuple.__new__
-
-# On a stripped line, raw_decode with its end at the line's end accepts and
-# rejects exactly what json.loads does, without json.loads' extra calls.
-_decode = json.JSONDecoder().raw_decode
-
-
-def read_journal(path: str | Path) -> tuple[dict | None, list[UnitResult]]:
-    """Parse a journal; returns (header or None, results in file order).
-
-    A line that is not a complete unit record is skipped with a warning, and
-    so is a repeat of a unit already read: the first line of a unit counts.
-    Each line is decoded on its own, so a line cut inside a multi-byte
-    character is one malformed line. The first header counts; a later one
-    with another config raises ConfigError, and a repeat of it is skipped
-    with a warning. The units of a page share one PageKey.
-    """
-    header, results, _ = _read_journal(path, whole_lines=False)
-    return header, list(results.values())
-
-
-def _read_journal(path: str | Path, whole_lines: bool,
-                  ) -> tuple[dict | None, dict[UnitKey, UnitResult], int]:
-    """read_journal's header and results by unit key, and the byte length of
-    the lines read. With whole_lines, a last line without a newline, which
-    an interrupted write leaves, is not read."""
-    header, header_line, length = None, 0, 0
-    results: dict[UnitKey, UnitResult] = {}
-    keys: dict[tuple[str, int], PageKey] = {}
-    names: dict[str, str] = {}  # one copy of each label and status
-    with open(path, "rb") as handle:
-        for line_no, line in enumerate(handle, start=1):
-            if whole_lines and line[-1] != 10:  # no b"\n"
-                break
-            length += len(line)
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                text = line.decode("utf-8")
-                fields = _match_unit_line(text)
-                if fields is not None:
-                    doc, page, label, status, p, r, f1, acc, m, n = fields.groups()
-                else:
-                    payload, end = _decode(text)
-                    if end != len(text):
-                        raise ValueError("extra data")
-                    if isinstance(payload, dict) and payload.get("kind") == "header":
-                        if header is None:
-                            header, header_line = payload, line_no
-                        elif payload.get("config") != header.get("config"):
-                            raise ConfigError(
-                                f"journal {path} line {line_no} is a header "
-                                f"with config {payload.get('config')!r}, but "
-                                f"its header on line {header_line} has config "
-                                f"{header.get('config')!r}")
-                        else:
-                            logger.warning("skipping repeated header on "
-                                           "journal line %d", line_no)
-                        continue
-                    doc, page, label, status, p, r, f1, acc, m, n = (
-                        payload["doc"], payload["page"], payload["label"],
-                        payload["status"], payload["p"], payload["r"],
-                        payload["f1"], payload["acc"], payload["m"], payload["n"])
-                scores = _new(DocumentScores, (float(p), float(r), float(f1),
-                                               float(acc), int(m), int(n), ()))
-                page = (doc, int(page))
-                key = keys.get(page)
-                if key is None:
-                    key = keys[page] = PageKey(*page)
-                label = names.setdefault(label, label)
-                status = names.setdefault(status, status)
-            except (KeyError, TypeError, ValueError):
-                logger.warning("skipping malformed journal line %d", line_no)
-                continue
-            unit = (*key, label)
-            if unit in results:
-                logger.warning("skipping repeated unit %s/%s on journal line %d",
-                               key, label, line_no)
-                continue
-            results[unit] = _new(UnitResult, (key, label, status, scores))
-    return header, results, length
-
-
 def evaluate_run(
     config: RunConfig,
     index: CorpusIndex | None = None,
@@ -532,30 +392,9 @@ def evaluate_run(
 
     done: dict[UnitKey, UnitResult] = {}
     journal_file = None
-    expected_hash = config_hash(config)
     if journal_path is not None:
-        journal_path = Path(journal_path)
-        header = None
-        if journal_path.exists():
-            header, done, length = _read_journal(journal_path, whole_lines=True)
-            if header is None and done:
-                raise ConfigError(
-                    f"journal {journal_path} holds unit lines but no header, "
-                    f"so its config cannot be checked")
-            if header is not None and header.get("config") != expected_hash:
-                raise ConfigError(
-                    f"journal {journal_path} was written with config "
-                    f"{header.get('config')!r}, current config is "
-                    f"{expected_hash!r}")
-            # Cut the part of a line an interrupted write left: appended to,
-            # it would merge with the next line and lose that unit.
-            if length < journal_path.stat().st_size:
-                os.truncate(journal_path, length)
-        # A new journal, or one cut before its first unit line, is rewritten.
-        journal_file = open(journal_path, "a" if header else "w", encoding="utf-8")
-        if header is None:
-            journal_file.write(journal_header(config) + "\n")
-            journal_file.flush()
+        done, journal_file = resume_journal(journal_path, config.adapter.tool,
+                                            config_hash(config))
 
     results = _evaluate_documents(_page_plans(index, config), config,
                                   index.vocabulary, done)

@@ -20,7 +20,7 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 from .errors import ConfigError
 
 if TYPE_CHECKING:
-    from .pipeline import UnitResult
+    from .journal import UnitResult
 
 # Task groups for cumulative F1. The maximum attainable value per task is
 # the number of labels in the group.

@@ -25,8 +25,8 @@ from docbench.interchange import (AdapterConfig, load_adapter_config,
 from docbench.metrics import (DocumentScores, MatchConfig, SimilarityMatrix,
                               edit_distance, f1, lev_ratio, precision, recall,
                               score_document, similarity_matrix)
-from docbench.pipeline import (STATUS_MISSING, RunConfig, UnitResult,
-                               evaluate_run, read_journal)
+from docbench.journal import STATUS_MISSING, UnitResult, read_journal
+from docbench.pipeline import RunConfig, evaluate_run
 from docbench.report import (AggregateRow, aggregate, cumulative_f1,
                              round_half_even)
 

@@ -6,6 +6,7 @@ from __future__ import annotations
 import json
 import os
 import shutil
+import stat
 import subprocess
 import sys
 from pathlib import Path
@@ -74,6 +75,28 @@ def test_eval_interrupted_exits_130(golden_dir: Path, tmp_path: Path,
     assert code == 130
     assert capsys.readouterr().err == (
         "[ERROR] interrupted; rerun the same command to resume\n")
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no FIFOs here")
+def test_a_fifo_index_or_journal_is_refused_without_blocking(
+        golden_dir: Path, tmp_path: Path, capsys, deadline):
+    # Each would wait for a writer forever if it were opened to read; none
+    # is opened for appending either.
+    from docbench import cli
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    journal = tmp_path / "j.jsonl"
+    for argv in ([*_eval_args(golden_dir, "perfect", journal), "--index", str(fifo)],
+                 _eval_args(golden_dir, "perfect", fifo),
+                 ["report", "--journal", str(fifo)],
+                 ["chart", "--journal", str(fifo), "--metric", "f1",
+                  "--out", str(tmp_path / "f1.svg")]):
+        with deadline(5):
+            assert cli.main(argv) == 1, argv
+        assert capsys.readouterr().err == \
+            f"[ERROR] i/o: [Errno 22] Not a regular file: {str(fifo)!r}\n", argv
+    assert not journal.exists() and not (tmp_path / "f1.svg").exists()
+    assert stat.S_ISFIFO(os.stat(fifo).st_mode)
 
 
 def test_eval_bad_sample_syntax(golden_dir: Path, tmp_path: Path):

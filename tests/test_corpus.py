@@ -285,7 +285,7 @@ def test_index_corpus_rejects_missing_root(tmp_path: Path):
 def test_walk_lists_what_sorted_rglob_lists(tmp_path: Path, monkeypatch):
     gt = tmp_path / "gt"
     # a-b/ sorts before a/ as a string but after it by path parts; both hold
-    # page 1401.0001_0, so the index keeps the path under a-b/.
+    # page 1401.0001_0, so the index keeps the path under a/.
     for name in ("a-b/1401.0001_0.txt", "a/1401.0001_0.txt",
                  "a/b/c/1401.0002_0.txt", ".hidden/1401.0003_0.txt",
                  ".1401.0004_0.txt", "a.b/1401.0005_0.txt", "Z/1401.0006_0.txt",
@@ -302,20 +302,45 @@ def test_walk_lists_what_sorted_rglob_lists(tmp_path: Path, monkeypatch):
         monkeypatch.chdir(tmp_path / here)
         listed = [str(path) for path in sorted(Path(root).rglob("*.txt"))]
         assert find_files(root, ".txt") == (listed, []), root
-        parent = {}  # what the rglob walk kept: the last path of each key
+        parent = {}  # the first path of each key in the rglob walk
         for path in listed:
             if os.path.basename(path) != "scratch.txt":
-                parent[parse_page_key(path)] = path
+                parent.setdefault(parse_page_key(path), path)
         index = index_corpus(root)
         assert list(index.entries.items()) == sorted(parent.items()), root
         assert index.entries[PageKey("1401.0001", 0)].endswith(
-            os.path.join("a-b", "1401.0001_0.txt"))
+            os.path.join("a", "1401.0001_0.txt"))
         assert PageKey("1401.0008", 0) not in index.entries
         saved = tmp_path / "index.json"
         save_index(index, saved)
         assert [entry["path"] for entry in json.loads(
             saved.read_text(encoding="utf-8"))["entries"]] == [
             path for _, path in sorted(parent.items())]
+
+
+def test_index_keeps_the_first_file_of_a_page_key(tmp_path: Path, caplog,
+                                                  capsys):
+    # a/ comes before a-b/ in walk order. The later file is skipped, its
+    # labels are not the page's, and validate names the pair.
+    from docbench import cli
+    first = tmp_path / "a" / "1401.0001_0.txt"
+    later = tmp_path / "a-b" / "1401.0001_0.txt"
+    for path, labels in ((first, ("title", "author")), (later, ("section",))):
+        path.parent.mkdir()
+        path.write_text("".join(GOOD_LINE.replace("title", label) + "\n"
+                                for label in labels), encoding="utf-8")
+    with caplog.at_level(logging.WARNING, logger="docbench.corpus"):
+        index = index_corpus(tmp_path)
+    key = PageKey("1401.0001", 0)
+    assert index.entries == {key: str(first)}
+    assert index.label_presence == {"author": {key}, "title": {key}}
+    assert index.skipped_files == ("1401.0001_0.txt",)
+    [warning] = caplog.records
+    assert f"{str(later)!r}: page 1401.0001:0 is {str(first)!r}" in warning.message
+    assert cli.main(["validate", "--gt-root", str(tmp_path)]) == 3
+    assert capsys.readouterr().out.splitlines() == [
+        f"[FINDING] {later}: page 1401.0001:0 is already {first}, so index "
+        "skips this file", "[INFO] 1 findings"]
 
 
 @pytest.mark.parametrize("data", [

@@ -23,17 +23,18 @@ from typing import Callable
 import pytest
 
 import docbench
+from docbench import journal as journal_module
 from docbench import pipeline
 from docbench.corpus import PageKey, index_corpus
 from docbench.errors import ConfigError
 from docbench.interchange import (SELECTOR_MISS, AdapterConfig,
                                   load_adapter_config)
 from docbench.metrics import DocumentScores, MatchConfig
-from docbench.pipeline import (STATUS_ERROR, STATUS_MISSING, STATUS_SCORED,
-                               EvaluationUnit, RunConfig, UnitResult,
-                               config_hash, evaluate_run, journal_header,
-                               read_journal, resolve_output,
-                               score_unit, unit_result_to_line,
+from docbench.journal import (STATUS_ERROR, STATUS_MISSING, STATUS_SCORED,
+                              UnitResult, journal_header, read_journal,
+                              unit_result_to_line)
+from docbench.pipeline import (EvaluationUnit, RunConfig, config_hash,
+                               evaluate_run, resolve_output, score_unit,
                                worker_count, zero_score_labels)
 from docbench.report import aggregate, all_task_summaries, emit_report
 from oracles import journal_reference
@@ -263,7 +264,7 @@ def test_unit_result_line_encodes_strings_as_json_dumps():
 
 def test_journal_header_shape(golden_dir: Path):
     config = _golden_config(golden_dir, "partial")
-    payload = json.loads(journal_header(config))
+    payload = json.loads(journal_header(config.adapter.tool, config_hash(config)))
     assert payload["kind"] == "header"
     assert payload["format_version"] == 1
     assert payload["harness"] == "docbench"
@@ -509,7 +510,7 @@ def test_read_journal_skips_a_line_cut_inside_a_character(golden_dir: Path,
         journal = tmp_path / f"cut{cut}.jsonl"
         journal.write_bytes(header + line + line[:cut])
         caplog.clear()
-        with caplog.at_level(logging.WARNING, logger="docbench.pipeline"):
+        with caplog.at_level(logging.WARNING, logger="docbench.journal"):
             _, results = read_journal(journal)
         assert [r.key.document_id for r in results] == [doc]
         assert "malformed journal line 3" in caplog.text
@@ -561,7 +562,7 @@ def _read_like_the_oracle(journal: Path, caplog) -> tuple:
     """read_journal's (header, records, warning counts) in journal_reference's
     shape; records as reprs, so NaN scores compare."""
     caplog.clear()
-    with caplog.at_level(logging.WARNING, logger="docbench.pipeline"):
+    with caplog.at_level(logging.WARNING, logger="docbench.journal"):
         header, results = read_journal(journal)
     warnings = {"malformed": 0, "repeated unit": 0, "repeated header": 0}
     for record in caplog.records:
@@ -587,6 +588,9 @@ def test_read_journal_agrees_with_the_reference_reader(golden_dir: Path,
     # Every variant of the wide line, in its place.
     journals = [header + b"".join(lines[:3]) + variant + b"\n"
                 + b"".join(lines[4:]) for variant in variants[3]]
+    # Unit lines before the header, and none at all.
+    journals += [b"".join(lines[:2]) + header + b"".join(lines[2:]),
+                 b"".join(lines)]
     # Seeded mixes: variants of any lines, repeated units and headers.
     rng = random.Random(20231018)
     for _ in range(300):
@@ -631,13 +635,13 @@ def test_read_journal_decodes_only_the_header_of_a_written_journal(
     with open(journal, "a", encoding="utf-8") as handle:
         handle.write(unit_result_to_line(wide) + "\n")
     decoded = []
-    decode = pipeline._decode
+    decode = journal_module._decode
 
     def counted(text):
         decoded.append(text)
         return decode(text)
 
-    monkeypatch.setattr(pipeline, "_decode", counted)
+    monkeypatch.setattr(journal_module, "_decode", counted)
     header, journalled = read_journal(journal)
     first, *lines = journal.read_text(encoding="utf-8").splitlines()
     assert decoded == [first]
@@ -671,7 +675,7 @@ def test_read_journal_skips_a_repeated_header(golden_dir: Path,
     journal = tmp_path / "partial.jsonl"
     journal.write_bytes(header + b"".join(lines[:2]) + header
                         + b"".join(lines[2:]))
-    with caplog.at_level(logging.WARNING, logger="docbench.pipeline"):
+    with caplog.at_level(logging.WARNING, logger="docbench.journal"):
         assert read_journal(journal) == read_journal(golden)
     assert [r.getMessage() for r in caplog.records] \
         == ["skipping repeated header on journal line 4"]
@@ -708,7 +712,7 @@ def test_unit_result_pickles_by_class_reference():
                             ("EmptyGroundTruth",))
     result = UnitResult(PageKey("1401.0001", 2), "table", STATUS_SCORED, scores)
     data = pickle.dumps(result)
-    assert b"docbench.pipeline" in data and b"UnitResult" in data
+    assert b"docbench.journal" in data and b"UnitResult" in data
     again = pickle.loads(data)
     assert again == result
     assert type(again) is UnitResult
@@ -939,7 +943,7 @@ def test_ground_truth_entry_that_is_not_a_regular_file(tmp_path: Path, capsys,
     out = capsys.readouterr().out.splitlines()
     assert out[:2] == [f"[INFO] indexed 3 pages under {gt_root}",
                        "[WARN] skipped 2 files with unrecognized or non-UTF-8 "
-                       "names, or not regular files"]
+                       "names, not regular files, or repeated page keys"]
     assert out[-3:] == [f"[FINDING] {fifo}: not a regular file",
                         f"[FINDING] {directory}: not a regular file",
                         "[INFO] 2 findings"]
@@ -1239,7 +1243,7 @@ def test_read_journal_counts_a_repeated_unit_once(golden_dir: Path,
     journal = tmp_path / "partial.jsonl"
     journal.write_text("\n".join(lines + [lines[1], json.dumps(repeat)]) + "\n",
                        encoding="utf-8")
-    with caplog.at_level(logging.WARNING, logger="docbench.pipeline"):
+    with caplog.at_level(logging.WARNING, logger="docbench.journal"):
         _, results = read_journal(journal)
     assert results == read_journal(golden)[1]
     assert sum("repeated unit" in r.message for r in caplog.records) == 2

@@ -11,8 +11,8 @@ import pytest
 from docbench.corpus import PageKey
 from docbench.errors import ConfigError
 from docbench.metrics import DocumentScores, f1
-from docbench.pipeline import (STATUS_MISSING, STATUS_SCORED, UnitResult,
-                               read_journal)
+from docbench.journal import (STATUS_MISSING, STATUS_SCORED, UnitResult,
+                              read_journal)
 from docbench.report import (CHART_METRICS, TASKS, AggregateRow, TaskSummary,
                              aggregate, all_task_summaries, cumulative_f1,
                              emit_bar_chart, emit_report, round_half_even)

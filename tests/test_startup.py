@@ -151,12 +151,12 @@ EXPORTED = {
                "sample_by_month", "save_index"],
     "interchange": ["AdapterConfig", "ExtractionRecord", "load_adapter_config",
                     "read_records", "tokenize"],
+    "journal": ["UnitResult", "read_journal"],
     "metrics": ["DocumentScores", "MatchConfig", "SimilarityMatrix", "accuracy",
                 "collate", "edit_distance", "f1", "lev_ratio", "precision",
                 "recall", "score_document", "similarity_matrix"],
-    "pipeline": ["EvaluationUnit", "RunConfig", "UnitResult", "config_hash",
-                 "evaluate_run", "read_journal", "resolve_output", "score_unit",
-                 "zero_score_labels"],
+    "pipeline": ["EvaluationUnit", "RunConfig", "config_hash", "evaluate_run",
+                 "resolve_output", "score_unit", "zero_score_labels"],
     "report": ["TASKS", "AggregateRow", "TaskSummary", "aggregate",
                "all_task_summaries", "cumulative_f1", "emit_bar_chart",
                "emit_report", "round_half_even"],
@@ -230,3 +230,17 @@ def test_index_and_ground_truth_validation_load_corpus_alone(golden_dir: Path,
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[-1].split() == \
             ["docbench.cli", "docbench.corpus", "docbench.errors"], argv
+
+
+def test_journal_report_and_chart_load_no_adapters_pipeline_or_numpy(
+        golden_dir: Path, tmp_path: Path):
+    journal = str(golden_dir / "expected" / "partial.jsonl")
+    unwanted = ("docbench.interchange", "docbench.pipeline", "xml.etree", "numpy")
+    check = f"print(sorted(m for m in sys.modules if m.startswith({unwanted!r})))"
+    assert _python(f"import sys\nimport docbench.journal\n{check}\n").stdout == "[]\n"
+    for argv in (("report", "--journal", journal),
+                 ("chart", "--journal", journal, "--metric", "f1", "--out", "f1.svg")):
+        proc = _python(f"import sys\nfrom docbench.cli import main\ncode = main()\n"
+                       f"{check}\nsys.exit(code)\n", cwd=tmp_path, argv=argv)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "[]", argv
