@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from collections import Counter
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -70,8 +71,9 @@ def cmd_index(args: argparse.Namespace) -> int:
         print(f"[WARN] skipped {len(index.skipped_files)} files with "
               "unrecognized or non-UTF-8 names, not regular files, or "
               "repeated page keys")
-    for label in sorted(index.label_presence):
-        print(f"[INFO]   {label}: {len(index.label_presence[label])} pages")
+    pages = Counter(label for _, labels in index.entries.values() for label in labels)
+    for label in sorted(pages):
+        print(f"[INFO]   {label}: {pages[label]} pages")
     return EXIT_OK
 
 

@@ -228,6 +228,18 @@ def read_bytes(path: str | os.PathLike[str]) -> bytes:
         os.close(fd)
 
 
+def write_text(path: str | os.PathLike[str], text: str) -> None:
+    """Write text to path as UTF-8, as Path(path).write_text(text,
+    encoding="utf-8") does on POSIX. The file is opened without blocking, so
+    a FIFO with no reader raises OSError (ENXIO) instead of hanging the open;
+    the writes then block as usual."""
+    data = text.encode("utf-8")
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC | os.O_NONBLOCK, 0o666)
+    with open(fd, "wb") as handle:
+        os.set_blocking(fd, True)
+        handle.write(data)
+
+
 def find_files(root: str | os.PathLike[str], suffix: str) -> tuple[list[str], list[str]]:
     """The regular files under root whose names end with suffix, and the
     other entries so named (directories, FIFOs, broken links, ...), each in
@@ -327,16 +339,14 @@ def parse_gt_page(
 
 @dataclass(frozen=True)
 class CorpusIndex:
-    entries: dict[PageKey, str]  # page paths in key order, which runs plan in
-    label_presence: dict[str, frozenset[PageKey]]
+    # page key -> (path, the page's sorted labels), in key order, which runs
+    # plan in; pages with the same labels share one tuple
+    entries: dict[PageKey, tuple[str, tuple[str, ...]]]
     vocabulary: frozenset[str] = DEFAULT_LABELS
     skipped_files: tuple[str, ...] = ()
 
     def __len__(self) -> int:
         return len(self.entries)
-
-    def pages_with_label(self, label: str) -> frozenset[PageKey]:
-        return self.label_presence.get(label, frozenset())
 
 
 def index_corpus(
@@ -352,8 +362,8 @@ def index_corpus(
     not regular files, and each file after the first in walk order with a
     page's key are skipped with a warning.
     """
-    found: dict[PageKey, str] = {}
-    presence: dict[str, set[PageKey]] = {}
+    found: dict[PageKey, tuple[str, tuple[str, ...]]] = {}
+    shared: dict[tuple[str, ...], tuple[str, ...]] = {}
     files, others = find_files(root, ".txt")
     skipped = [os.path.basename(path) for path in others]
     for path in others:
@@ -369,9 +379,8 @@ def index_corpus(
         if key in found:
             skipped.append(os.path.basename(path))
             logger.warning("skipping ground-truth file %r: page %s is %r",
-                           path, key, found[key])
+                           path, key, found[key][0])
             continue
-        found[key] = path
         text = read_bytes(path).decode("utf-8", errors="replace")
         # "\n" ends any invalid UTF-8 sequence, so each line decodes here as
         # it would alone, and as parse_gt_page reads it.
@@ -380,11 +389,10 @@ def index_corpus(
             fields = line.split("\t")
             if len(fields) >= GT_FIELD_COUNT:
                 labels.add(fields[9].strip())
-        for label in labels & vocabulary:
-            presence.setdefault(label, set()).add(key)
+        listed = tuple(sorted(labels & vocabulary))
+        found[key] = path, shared.setdefault(listed, listed)
     entries = {key: found[key] for key in sorted(found)}
-    label_presence = {label: frozenset(keys) for label, keys in sorted(presence.items())}
-    return CorpusIndex(entries, label_presence, vocabulary, tuple(skipped))
+    return CorpusIndex(entries, vocabulary, tuple(skipped))
 
 
 def sample_by_month(index: CorpusIndex, from_month: str, to_month: str) -> frozenset[PageKey]:
@@ -415,22 +423,16 @@ def sample_by_month(index: CorpusIndex, from_month: str, to_month: str) -> froze
 
 def save_index(index: CorpusIndex, path: str | Path) -> None:
     """Write the index to a versioned, compact JSON cache."""
-    labels: dict[PageKey, list[str]] = {key: [] for key in index.entries}
-    for label in sorted(index.label_presence):
-        for key in index.label_presence[label]:
-            if key in labels:
-                labels[key].append(label)
     payload = {
         "format_version": INDEX_FORMAT_VERSION,
         "vocabulary": sorted(index.vocabulary),
         "entries": [{"doc": key.document_id, "page": key.page_index,
-                     "path": page_path, "labels": labels[key]}
-                    for key, page_path in index.entries.items()],
+                     "path": page_path, "labels": labels}
+                    for key, (page_path, labels) in index.entries.items()],
     }
     # No indent, so json encodes with its C encoder.
-    Path(path).write_text(json.dumps(payload, ensure_ascii=False,
-                                     separators=(",", ":")) + "\n",
-                          encoding="utf-8")
+    write_text(path, json.dumps(payload, ensure_ascii=False,
+                                separators=(",", ":")) + "\n")
 
 
 def _strings(value: object) -> bool:
@@ -453,9 +455,9 @@ def load_index(path: str | Path) -> CorpusIndex:
     if not isinstance(listed, list) or not _strings(payload.get("vocabulary")):
         raise ConfigError(f"index cache {path} lacks a list of entries or "
                           "of vocabulary strings")
-    entries: dict[PageKey, str] = {}
-    presence: dict[str, set[PageKey]] = {}
+    entries: dict[PageKey, tuple[str, tuple[str, ...]]] = {}
     documents: dict[str, str] = {}  # one id string for a document's pages
+    shared: dict[tuple[str, ...], tuple[str, ...]] = {}
     for number, entry in enumerate(listed):
         try:
             doc, page, labels = entry["doc"], entry["page"], entry["labels"]
@@ -466,9 +468,7 @@ def load_index(path: str | Path) -> CorpusIndex:
         except (KeyError, TypeError, ValueError):
             raise ConfigError(f"index cache {path}: entry {number} is not a "
                               "page key with a path and labels") from None
-        entries[key] = entry["path"]
-        for label in labels:
-            presence.setdefault(label, set()).add(key)
+        labels = tuple(sorted(set(labels)))
+        entries[key] = entry["path"], shared.setdefault(labels, labels)
     entries = {key: entries[key] for key in sorted(entries)}
-    label_presence = {label: frozenset(keys) for label, keys in sorted(presence.items())}
-    return CorpusIndex(entries, label_presence, frozenset(payload["vocabulary"]))
+    return CorpusIndex(entries, frozenset(payload["vocabulary"]))

@@ -20,6 +20,7 @@ import hashlib
 import json
 import logging
 import os
+import unicodedata
 from collections import deque
 from dataclasses import dataclass, replace
 from itertools import chain, groupby
@@ -95,6 +96,9 @@ def config_hash(config: RunConfig) -> str:
         "sample": list(config.sample) if config.sample else None,
         "key_pattern": config.key_pattern,
     }
+    if not config.match.case_sensitive or config.match.normalize_nfc:
+        # casefold and NFC follow the interpreter's Unicode tables
+        payload["unicode"] = unicodedata.unidata_version
     digest = hashlib.sha256(
         json.dumps(payload, sort_keys=True, ensure_ascii=False).encode("utf-8"))
     return digest.hexdigest()[:12]
@@ -111,15 +115,14 @@ def _page_plans(index: CorpusIndex, config: RunConfig) -> Iterator[PagePlan]:
     """(key, path, the wanted labels the index lists) per page, in the key
     order of the index's entries. Each plan is made as it is taken, so a run
     that takes them one run of documents at a time never holds them all."""
-    wanted = sorted(set(config.labels))
-    for label in wanted:
+    wanted = set(config.labels)
+    for label in sorted(wanted):
         if label not in index.vocabulary:
             logger.warning("label %r is outside the index vocabulary; "
                            "no units will be planned for it", label)
-    presence = [(label, index.pages_with_label(label)) for label in wanted]
     sampled = sample_by_month(index, *config.sample) if config.sample else None
-    for key, path in index.entries.items():
-        labels = tuple([label for label, pages in presence if key in pages])
+    for key, (path, listed) in index.entries.items():
+        labels = tuple([label for label in listed if label in wanted])
         if labels and (sampled is None or key in sampled):
             yield key, path, labels
 

@@ -17,6 +17,7 @@ from decimal import ROUND_HALF_EVEN, Decimal
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Sequence
 
+from .corpus import write_text
 from .errors import ConfigError
 
 if TYPE_CHECKING:
@@ -203,7 +204,7 @@ def emit_report(
         payload["summaries"] = [asdict(summary) for summary in summaries or ()]
         text = json.dumps(payload, indent=2, ensure_ascii=False) + "\n"
     if out is not None:
-        Path(out).write_text(text, encoding="utf-8")
+        write_text(out, text)
     return text
 
 
@@ -314,5 +315,5 @@ def emit_bar_chart(
     parts.append("</svg>")
     text = "\n".join(parts) + "\n"
     if out is not None:
-        Path(out).write_text(text, encoding="utf-8")
+        write_text(out, text)
     return text

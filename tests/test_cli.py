@@ -3,6 +3,7 @@ interrupt and the runs of one page, which call main() in this process."""
 
 from __future__ import annotations
 
+import errno
 import json
 import os
 import shutil
@@ -96,6 +97,25 @@ def test_a_fifo_index_or_journal_is_refused_without_blocking(
         assert capsys.readouterr().err == \
             f"[ERROR] i/o: [Errno 22] Not a regular file: {str(fifo)!r}\n", argv
     assert not journal.exists() and not (tmp_path / "f1.svg").exists()
+    assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no FIFOs here")
+def test_an_output_fifo_without_a_reader_is_refused_without_blocking(
+        golden_dir: Path, tmp_path: Path, capsys, deadline):
+    # Each would wait for a reader forever if it were opened to write as a
+    # plain open does.
+    from docbench import cli
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    journal = str(golden_dir / "expected" / "partial.jsonl")
+    for argv in (["index", "--gt-root", str(golden_dir / "gt"), "--out", str(fifo)],
+                 ["report", "--journal", journal, "--out", str(fifo)],
+                 ["chart", "--journal", journal, "--metric", "f1", "--out", str(fifo)]):
+        with deadline(5):
+            assert cli.main(argv) == 1, argv
+        assert capsys.readouterr() == ("", f"[ERROR] i/o: [Errno {errno.ENXIO}] "
+                                           f"{os.strerror(errno.ENXIO)}: {str(fifo)!r}\n"), argv
     assert stat.S_ISFIFO(os.stat(fifo).st_mode)
 
 
@@ -549,7 +569,7 @@ def test_report_reproduces_expected_csv(golden_dir: Path, tmp_path: Path,
     assert out.read_bytes() == expected
 
 
-def test_report_stdout_equals_file(golden_dir: Path, tmp_path: Path):
+def test_report_stdout_equals_file(golden_dir: Path, tmp_path: Path, deadline):
     journal = tmp_path / "partial.jsonl"
     assert _run(*_eval_args(golden_dir, "partial", journal)).returncode == 0
     to_stdout = _run("report", "--journal", str(journal))
@@ -557,6 +577,11 @@ def test_report_stdout_equals_file(golden_dir: Path, tmp_path: Path):
     expected = (golden_dir / "expected" / "partial_report.csv") \
         .read_text(encoding="utf-8")
     assert to_stdout.stdout == expected
+    if os.path.exists("/dev/stdout"):  # --out names the pipe stdout is
+        with deadline(60):
+            piped = _run("report", "--journal", str(journal), "--out", "/dev/stdout")
+        assert (piped.returncode, piped.stderr) == (0, "")
+        assert piped.stdout == expected + "[INFO] report written to /dev/stdout\n"
 
 
 def test_report_json_format(golden_dir: Path, tmp_path: Path):

@@ -1,11 +1,14 @@
 from __future__ import annotations
 
+import errno
 import json
 import logging
 import os
 import pickle
 import random
 import re
+import threading
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -15,7 +18,7 @@ from docbench.corpus import (DEFAULT_KEY_PATTERN, DEFAULT_LABELS, CorpusIndex,
                              PageKey, find_files, index_corpus, load_index,
                              parse_gt_page, parse_gt_record, parse_page_key,
                              read_bytes, sample_by_month, save_index,
-                             validate_label)
+                             validate_label, write_text)
 from docbench.errors import (ConfigError, KeyParseError, MalformedRecord,
                              UnknownLabel)
 from oracles import gt_page_reference
@@ -253,18 +256,19 @@ def test_index_corpus_golden(golden_dir: Path):
     assert len(index) == 5
     keys = list(index.entries)
     assert keys == sorted(keys)
-    assert index.pages_with_label("title") == frozenset(
-        {PageKey("1401.0001", 0), PageKey("1402.0042", 0)})
-    assert index.pages_with_label("reference") == frozenset({PageKey("1401.0001", 1)})
-    assert index.pages_with_label("footer") == frozenset()
+    assert {key: labels for key, (_, labels) in index.entries.items()} == {
+        PageKey("1401.0001", 0): ("paragraph", "title"),
+        PageKey("1401.0001", 1): ("reference",),
+        PageKey("1402.0042", 0): ("abstract", "author", "title"),
+        PageKey("1403.0777", 0): ("table",),
+        PageKey("1403.0777", 2): ("paragraph", "section")}
     assert index.skipped_files == ()
 
 
 def test_index_corpus_deterministic(golden_dir: Path):
     first = index_corpus(golden_dir / "gt")
     second = index_corpus(golden_dir / "gt")
-    assert list(first.entries) == list(second.entries)
-    assert first.label_presence == second.label_presence
+    assert list(first.entries.items()) == list(second.entries.items())
 
 
 def test_index_corpus_skips_unparseable_names(tmp_path: Path, caplog):
@@ -307,8 +311,9 @@ def test_walk_lists_what_sorted_rglob_lists(tmp_path: Path, monkeypatch):
             if os.path.basename(path) != "scratch.txt":
                 parent.setdefault(parse_page_key(path), path)
         index = index_corpus(root)
-        assert list(index.entries.items()) == sorted(parent.items()), root
-        assert index.entries[PageKey("1401.0001", 0)].endswith(
+        assert [(key, path) for key, (path, _) in index.entries.items()] == \
+            sorted(parent.items()), root
+        assert index.entries[PageKey("1401.0001", 0)][0].endswith(
             os.path.join("a", "1401.0001_0.txt"))
         assert PageKey("1401.0008", 0) not in index.entries
         saved = tmp_path / "index.json"
@@ -332,8 +337,7 @@ def test_index_keeps_the_first_file_of_a_page_key(tmp_path: Path, caplog,
     with caplog.at_level(logging.WARNING, logger="docbench.corpus"):
         index = index_corpus(tmp_path)
     key = PageKey("1401.0001", 0)
-    assert index.entries == {key: str(first)}
-    assert index.label_presence == {"author": {key}, "title": {key}}
+    assert index.entries == {key: (str(first), ("author", "title"))}
     assert index.skipped_files == ("1401.0001_0.txt",)
     [warning] = caplog.records
     assert f"{str(later)!r}: page 1401.0001:0 is {str(first)!r}" in warning.message
@@ -365,10 +369,51 @@ def test_read_bytes_refuses_what_is_not_a_regular_file(tmp_path: Path,
             read_bytes(str(path))
 
 
+def test_write_text_writes_what_path_write_text_writes(tmp_path: Path):
+    text = "Transformers\tcafé \U0001d400\n" * 5000
+    for name, write in (("plain", lambda path: path.write_text(text, encoding="utf-8")),
+                        ("here", lambda path: write_text(str(path), text))):
+        write(tmp_path / f"{name}.new")
+        (tmp_path / f"{name}.old").write_bytes(b"x" * 200_000)
+        write(tmp_path / f"{name}.old")  # truncated first
+    for suffix in ("new", "old"):
+        here, plain = tmp_path / f"here.{suffix}", tmp_path / f"plain.{suffix}"
+        assert here.read_bytes() == plain.read_bytes()
+        assert os.stat(here).st_mode == os.stat(plain).st_mode
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no FIFOs here")
+def test_write_text_refuses_a_fifo_without_a_reader(tmp_path: Path, deadline):
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    with deadline(5), pytest.raises(OSError) as excinfo:
+        write_text(fifo, "x")
+    assert excinfo.value.errno == errno.ENXIO
+    # With a reader, writes past the pipe's buffer block until it drains.
+    text = "é" * (1 << 19)
+    got: list[bytes] = []
+    reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()),
+                              daemon=True)
+    reader.start()
+    try:
+        with deadline(30):
+            while True:  # until the reader has opened its end
+                try:
+                    write_text(fifo, text)
+                    break
+                except OSError as exc:
+                    if exc.errno != errno.ENXIO:
+                        raise
+                    time.sleep(0.01)
+    finally:
+        reader.join(30)
+    assert not reader.is_alive() and got == [text.encode("utf-8")]
+
+
 def test_load_index_holds_few_bytes_a_page(tmp_path: Path):
     # 1000 pages of 500 two-page documents, four labels each. Each entry
-    # holds its key, its path string and its label memberships; the pages of
-    # a document share one id string.
+    # holds its key and a (path string, labels) pair; the pages of a
+    # document share one id string, and pages with the same labels one tuple.
     path = tmp_path / "index.json"
     path.write_text(json.dumps({
         "format_version": 1, "vocabulary": sorted(DEFAULT_LABELS),
@@ -384,8 +429,9 @@ def test_load_index_holds_few_bytes_a_page(tmp_path: Path):
         held = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    assert held <= 400 * len(index) and len(index) == 1000
-    assert all(type(value) is str for value in index.entries.values())
+    assert held <= 260 * len(index) and len(index) == 1000
+    assert all(type(page_path) is str for page_path, _ in index.entries.values())
+    assert len({id(labels) for _, labels in index.entries.values()}) == 1
     keys = list(index.entries)
     assert all(first.document_id is second.document_id
                for first, second in zip(keys[::2], keys[1::2]))
@@ -433,13 +479,34 @@ def test_index_save_load_round_trip(golden_dir: Path, tmp_path: Path):
     assert text.count("\n") == 1 and ", " not in text  # compact
     payload = json.loads(text)
     assert [entry["labels"] for entry in payload["entries"]] == [
-        sorted(label for label, keys in index.label_presence.items() if key in keys)
-        for key in index.entries]
+        sorted(labels) for _, labels in index.entries.values()]
     indented = tmp_path / "indented.json"  # as earlier versions wrote it
     indented.write_text(json.dumps(payload, indent=2, ensure_ascii=False) + "\n",
                         encoding="utf-8")
     for cache in (path, indented):
         assert load_index(cache) == index
+
+
+def test_load_index_sorts_and_dedupes_each_page_labels(tmp_path: Path):
+    # A hand-written cache: entries out of key order, a page's labels
+    # unsorted, repeated, empty or outside the vocabulary.
+    cache, saved = tmp_path / "cache.json", tmp_path / "saved.json"
+    cache.write_text(json.dumps({
+        "format_version": 1, "vocabulary": ["title", "author"],
+        "entries": [
+            {"doc": "1401.0002", "page": 0, "path": "b.txt",
+             "labels": ["title", "author", "title"]},
+            {"doc": "1401.0001", "page": 3, "path": "a3.txt", "labels": []},
+            {"doc": "1401.0001", "page": 1, "path": "a1.txt",
+             "labels": ["sidebar", "author"]}]}), encoding="utf-8")
+    index = load_index(cache)
+    assert index.entries[PageKey("1401.0002", 0)] == ("b.txt", ("author", "title"))
+    save_index(index, saved)
+    assert saved.read_text(encoding="utf-8") == (
+        '{"format_version":1,"vocabulary":["author","title"],"entries":['
+        '{"doc":"1401.0001","page":1,"path":"a1.txt","labels":["author","sidebar"]},'
+        '{"doc":"1401.0001","page":3,"path":"a3.txt","labels":[]},'
+        '{"doc":"1401.0002","page":0,"path":"b.txt","labels":["author","title"]}]}\n')
 
 
 def test_index_load_rejects_unknown_version(tmp_path: Path):
@@ -493,10 +560,9 @@ def test_nfc_flag_normalizes_token_text():
 def test_label_presence_layout(golden_dir: Path):
     index = index_corpus(golden_dir / "gt")
     assert isinstance(index, CorpusIndex)
-    key = PageKey("1402.0042", 0)
-    assert key in index.entries
-    labels = {label for label, keys in index.label_presence.items() if key in keys}
-    assert labels == {"abstract", "author", "title"}
+    path, labels = index.entries[PageKey("1402.0042", 0)]
+    assert path == str(golden_dir / "gt" / "8.tar_1402.0042.gz_beta_0.txt")
+    assert labels == ("abstract", "author", "title")
 
 
 # Field values the fuzzed pages draw from, by field position: valid and
@@ -559,17 +625,15 @@ def test_parse_gt_page_agrees_with_the_reference_parser(tmp_path: Path):
         pages[path] = _fuzz_page(rng)
         path.write_bytes(pages[path])
     index = index_corpus(tmp_path)
-    listed = {key: set() for key in index.entries}
-    for label, keys in index.label_presence.items():
-        for key in keys:
-            listed[key].add(label)
+    listed = {key: labels for key, (_, labels) in index.entries.items()}
+    assert len({id(labels) for labels in listed.values()}) == len(set(listed.values()))
     for path, data in pages.items():
         for nfc in (False, True):
             texts, issues, strict_error = gt_page_reference(data, DEFAULT_LABELS, nfc)
             page = parse_gt_page(path, nfc=nfc)
             assert page.texts == texts, path.name
             assert [(i.line_no, i.kind, i.message) for i in page.issues] == issues
-            assert page.labels <= listed[page.key]
+            assert page.labels <= set(listed[page.key])
             if strict_error is None:
                 assert parse_gt_page(path, strict=True, nfc=nfc) == page
                 continue

@@ -14,6 +14,7 @@ import signal
 import subprocess
 import sys
 import tracemalloc
+import unicodedata
 from collections import Counter
 from concurrent.futures.process import BrokenProcessPool
 from multiprocessing.connection import wait
@@ -88,6 +89,20 @@ def test_config_hash_is_stable_and_sensitive(golden_dir: Path):
         golden_dir / "adapters" / "perfect.json")
     assert config_hash(dataclasses.replace(
         base, adapter=other_adapter)) != config_hash(base)
+
+
+def test_config_hash_holds_the_unicode_version_where_it_changes_scores(
+        golden_dir: Path, monkeypatch):
+    # Casefolding and NFC read the interpreter's Unicode tables.
+    base = _golden_config(golden_dir, "partial")
+    configs = [dataclasses.replace(base, match=match) for match in (
+        MatchConfig(), MatchConfig(case_sensitive=False),
+        MatchConfig(normalize_nfc=True))]
+    before = [config_hash(config) for config in configs]
+    monkeypatch.setattr(unicodedata, "unidata_version", "0.0.0")
+    after = [config_hash(config) for config in configs]
+    assert after[0] == before[0]
+    assert after[1] != before[1] and after[2] != before[2]
 
 
 def _planned(index, config: RunConfig) -> list[EvaluationUnit]:
