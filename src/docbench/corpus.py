@@ -468,6 +468,9 @@ def load_index(path: str | Path) -> CorpusIndex:
         except (KeyError, TypeError, ValueError):
             raise ConfigError(f"index cache {path}: entry {number} is not a "
                               "page key with a path and labels") from None
+        if key in entries:
+            raise ConfigError(f"index cache {path}: entry {number} repeats "
+                              f"page {key}")
         labels = tuple(sorted(set(labels)))
         entries[key] = entry["path"], shared.setdefault(labels, labels)
     entries = {key: entries[key] for key in sorted(entries)}

@@ -5,11 +5,11 @@ A run walks the ground-truth index, plans one evaluation unit per
 tool output file, scores it, and appends one JSON line per unit to a journal.
 Reruns skip units already journalled, so an interrupted run resumes where it
 stopped. Unit order is deterministic (sorted by page key, then label) and
-independent of the worker count. The parent turns the index into page plans,
-which are planned and scored in runs of whole documents: with one worker, by
-the parent one run at a time, so it holds one run's plans and units however
-large the corpus is; with more, by pool workers, which parse their own
-ground-truth pages, while the parent writes their results in unit order.
+independent of the worker count. The parent cuts the index's page plans into
+runs of whole documents as it takes them, so it never holds every plan. With
+one worker, or a plan of one run, it plans and scores one run at a time; with
+more, each run is a pool task, whose worker parses its own ground-truth
+pages, while the parent writes the results in unit order.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import os
 import unicodedata
 from collections import deque
 from dataclasses import dataclass, replace
-from itertools import chain, groupby
+from itertools import chain, groupby, islice
 from pathlib import Path
 from stat import S_ISREG
 from typing import Container, Iterable, Iterator, Mapping, NamedTuple
@@ -249,7 +249,7 @@ def _evaluate_pages(pages: list[PagePlan], config: RunConfig,
 
 
 def _evaluate_task(*args) -> list[UnitResult | UnitKey]:
-    """The task a pool worker runs: _evaluate_pages over whole documents."""
+    """The task a pool worker runs: _evaluate_pages over one run."""
     return list(_evaluate_pages(*args))
 
 
@@ -258,20 +258,14 @@ def worker_count(parallelism: int) -> int:
     return 1 if parallelism < 2 else min(parallelism, os.cpu_count() or 1)
 
 
-# Documents per pool task, at most. A task costs the pool a fixed ~0.4 ms of
-# hand-offs between the parent's threads and a worker (2-core x86-64 VM,
-# Python 3.11), about half a small page's scoring time, so one-document tasks
-# made two workers slower than one on corpora of short pages. Sixteen spread
-# that cost, and keep the results a task holds and the work an interrupt
-# loses small.
-_TASK_DOCUMENTS = 16
-
-# Pages per run scored in the parent, at least: a run closes at the first
-# document boundary from here on, so only one run's units are held at a time.
-# Each run's planning lands in one gap between results. On 1000 two-page
-# documents (2-core x86-64 VM), runs of 128, 256 and 512 pages raised the p99
-# gap by ~11%, ~3.5% (inside the noise) and none, and cut peak RSS by ~1.3,
-# ~1.1 and ~0.8 MB.
+# Pages per run, at least: a run closes at the first document boundary from
+# here on. The parent plans and scores one run at a time, so it holds one
+# run's units, and a pool task is one run. On 1000 two-page documents (2-core
+# x86-64 VM), runs of 128, 256 and 512 pages raised the p99 gap between
+# results by ~11%, ~3.5% (inside the noise) and none, as each run's planning
+# lands in one gap, and cut peak RSS by ~1.3, ~1.1 and ~0.8 MB. A pool task
+# costs a fixed ~0.4 ms of hand-offs with a worker, about half a small page's
+# scoring time, which a run spreads over its pages.
 _RUN_PAGES = 256
 
 # (worker count, executor): the pool of the last parallel run, reused by the
@@ -318,54 +312,62 @@ def _release_pool() -> None:
         _pool = None
 
 
+def _runs(pages: Iterable[PagePlan]) -> Iterator[list[PagePlan]]:
+    """The page plans in runs of whole documents, each closed at the first
+    document boundary from _RUN_PAGES pages on, cut as they are taken."""
+    run: list[PagePlan] = []
+    for _, document in groupby(pages, key=lambda page: page[0].document_id):
+        run += document
+        if len(run) >= _RUN_PAGES:
+            yield run
+            run = []
+    if run:
+        yield run
+
+
 def _evaluate_documents(pages: Iterable[PagePlan], config: RunConfig,
                         vocabulary: frozenset[str], done: Mapping[UnitKey, UnitResult],
                         ) -> Iterator[UnitResult | UnitKey]:
-    """_evaluate_pages over every page, in runs of whole documents: here,
-    one run of at least _RUN_PAGES pages at a time, with one worker (which
-    takes the plans from pages run by run, so it holds one run's plans) or
-    fewer than two documents with a pending unit; else each run of at most
-    _TASK_DOCUMENTS documents (at least four pending ones per worker where
-    there are enough) is a pool task, sent the run's page plans and
-    journalled unit keys. At most two tasks per worker are in flight;
-    closing the generator cancels those not started. A pool that lost a
-    worker raises BrokenProcessPool once and is replaced on the next run."""
+    """_evaluate_pages over the runs of _runs, each taken from pages when it
+    is needed. With one worker, or a plan of one run, the parent scores them;
+    else each run is a pool task, sent its page plans and journalled unit
+    keys, with at most two per worker in flight. A run whose every listed
+    unit is journalled is a finished future of their keys, so the pool forks
+    at the first run to score. Closing the generator cancels the tasks not
+    started; a pool that lost a worker raises BrokenProcessPool once and is
+    replaced on the next run."""
     global _pool
     workers = worker_count(config.parallelism)
-    documents = (list(group) for _, group in groupby(
-        pages, key=lambda page: page[0].document_id))
-    pending = 0
-    if workers > 1:
-        documents = list(documents)
-        pending = sum(not all(unit in done for key, _, labels in document
-                              for unit in _unit_keys(key, labels))
-                      for document in documents)
-    if pending < 2:
-        run: list[PagePlan] = []
-        for document in documents:
-            run += document
-            if len(run) >= _RUN_PAGES:
-                yield from _evaluate_pages(run, config, vocabulary, done)
-                run = []
-        if run:
+    runs = _runs(pages)
+    ahead = list(islice(runs, 2 if workers > 1 else 0))
+    runs = chain(ahead, runs)
+    if len(ahead) < 2:
+        for run in runs:
             yield from _evaluate_pages(run, config, vocabulary, done)
+            del run  # freed before the next run is cut
         return
-    from concurrent.futures.process import BrokenProcessPool
-    size = min(_TASK_DOCUMENTS, -(-pending // (4 * workers)))
-    pool = _worker_pool(workers)
+    del ahead  # runs alone holds the two runs taken ahead
+    from concurrent.futures import BrokenExecutor, Future
+    pool = None
     in_flight: deque = deque()
     try:
-        for start in range(0, len(documents), size):
+        for run in runs:
             if len(in_flight) == 2 * workers:
                 yield from in_flight.popleft().result()
-            run = list(chain.from_iterable(documents[start:start + size]))
-            journalled = {unit for key, _, _ in run
-                          for unit in _unit_keys(key, config.labels) if unit in done}
-            in_flight.append(pool.submit(_evaluate_task, run, config,
-                                         vocabulary, journalled))
+            listed = [unit for key, _, labels in run for unit in _unit_keys(key, labels)]
+            if all(unit in done for unit in listed):
+                future = Future()
+                future.set_result(listed)
+            else:
+                journalled = {unit for key, _, _ in run for unit in
+                              _unit_keys(key, config.labels) if unit in done}
+                pool = _worker_pool(workers)
+                future = pool.submit(_evaluate_task, run, config, vocabulary,
+                                     journalled)
+            in_flight.append(future)
         while in_flight:
             yield from in_flight.popleft().result()
-    except BrokenProcessPool:
+    except BrokenExecutor:  # the pool's BrokenProcessPool
         pool.shutdown(wait=False)
         _pool = None
         raise
@@ -383,9 +385,8 @@ def evaluate_run(
 
     With a journal path, journalled units are not recomputed and new results
     are appended as they complete; the stream always covers all units. Only
-    pages with a pending unit are parsed, where they are scored: with one
-    worker here, a run of whole documents of at least _RUN_PAGES pages before
-    that run's first result; with more, each worker parses its own documents.
+    pages with a pending unit are parsed, each run of whole documents (see
+    _evaluate_documents) before its first result, by whoever scores the run.
     Worker count changes neither results nor bytes.
     """
     if index is None:

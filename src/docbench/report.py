@@ -109,14 +109,12 @@ def cumulative_f1(
     task: str,
     tool: str | None = None,
     variant: str = "processed",
-    rounded: bool = True,
 ) -> TaskSummary:
     """Sum of per-label mean F1 over a task's label group.
 
-    A label with no row contributes 0. With rounded=True (the default) each
-    label mean is first rounded to two decimals, ties to even, and the sum
-    is exact over those two-decimal values; rounded=False sums the raw
-    floats. The maximum attainable value is the size of the label group.
+    A label with no row contributes 0. Each label mean is first rounded to
+    two decimals, ties to even, and the sum is exact over those two-decimal
+    values. The maximum attainable value is the size of the label group.
     """
     if task not in TASKS:
         raise ConfigError(f"unknown task: {task!r} (expected one of {sorted(TASKS)})")
@@ -130,19 +128,17 @@ def cumulative_f1(
     labels = TASKS[task]
     by_label = {row.label: row for row in rows if row.tool == tool}
     total = Decimal(0)
-    raw_total = 0.0
     for label in labels:
         row = by_label.get(label)
         value = 0.0
         if row is not None:
             value = row.f1 if variant == "processed" else row.f1_detected
         total += Decimal(value).quantize(Decimal("0.01"), rounding=ROUND_HALF_EVEN)
-        raw_total += value
     return TaskSummary(
         tool=tool,
         task=task,
         labels=labels,
-        cumulative_f1=float(total) if rounded else raw_total,
+        cumulative_f1=float(total),
         max_possible=len(labels),
     )
 
@@ -154,13 +150,13 @@ def all_task_summaries(rows: Sequence[AggregateRow], **kwargs) -> list[TaskSumma
             for tool in tools for task in TASKS]
 
 
-def _row_cells(row: AggregateRow, variant: str, decimals: int) -> list[str]:
+def _row_cells(row: AggregateRow, variant: str) -> list[str]:
     if variant == "processed":
         means = (row.acc, row.f1, row.p, row.r)
     else:
         means = (row.acc_detected, row.f1_detected, row.p_detected, row.r_detected)
     return [row.tool, row.label, str(row.detected), str(row.processed)] + [
-        f"{value:.{decimals}f}" for value in means]
+        f"{value:.2f}" for value in means]
 
 
 def emit_report(
@@ -170,12 +166,11 @@ def emit_report(
     out: str | Path | None = None,
     stamp: str | None = None,
     variant: str = "processed",
-    decimals: int = 2,
 ) -> str:
     """Render aggregate rows (and optional task summaries) as CSV or JSON.
 
-    Output is deterministic byte for byte. CSV shows means at the requested
-    precision; JSON carries the full float values.
+    Output is deterministic byte for byte. CSV shows means to two decimals;
+    JSON carries the full float values.
     """
     if fmt not in ("csv", "json"):
         raise ConfigError(f"unsupported report format: {fmt!r}")
@@ -189,11 +184,11 @@ def emit_report(
         writer.writerow(["tool", "label", "detected", "processed",
                          "acc", "f1", "p", "r"])
         for row in rows:
-            writer.writerow(_row_cells(row, variant, decimals))
+            writer.writerow(_row_cells(row, variant))
         for summary in summaries or ():
             buffer.write(
                 f"# cumulative_f1 tool={summary.tool} task={summary.task} "
-                f"value={summary.cumulative_f1:.{decimals}f} "
+                f"value={summary.cumulative_f1:.2f} "
                 f"max={summary.max_possible}\n")
         text = buffer.getvalue()
     else:

@@ -534,27 +534,33 @@ def _run_process(args: list[str]) -> tuple[int, str]:
 @pytest.mark.parametrize("jobs", ["1", "2"])
 def test_eval_with_a_ground_truth_page_gone(golden_dir: Path, tmp_path: Path,
                                             jobs: str):
-    # The golden corpus fits in one run, so one worker plans every page
-    # before the first result. Two plan their own documents, so the first
-    # two documents' results are journalled before the third document's
-    # error reaches the parent.
-    inline = jobs == "1" or (os.cpu_count() or 1) < 2
+    # The golden corpus fits in one run, which the parent plans whole before
+    # the first result at any --jobs: only the header is journalled.
     assert _lines_before_a_page_gone(golden_dir, tmp_path, jobs,
-                                     _run_process) == (1 if inline else 7)
+                                     _run_process) == 1
 
 
 def test_eval_journals_earlier_runs_before_a_page_gone(golden_dir: Path,
                                                        tmp_path: Path,
                                                        monkeypatch, capsys):
     """With runs of one page, one worker scores each document before it
-    plans the next, so the first two documents are journalled."""
+    plans the next, and two plan their own documents, whose results reach
+    the parent in order before the third document's error: either way the
+    first two documents are journalled."""
     from docbench import cli, pipeline
     monkeypatch.setattr(pipeline, "_RUN_PAGES", 1)
 
     def run_here(args: list[str]) -> tuple[int, str]:
         return cli.main(args), capsys.readouterr().err
 
-    assert _lines_before_a_page_gone(golden_dir, tmp_path, "1", run_here) == 7
+    try:
+        for jobs in ("1", "2"):
+            work = tmp_path / jobs
+            work.mkdir()
+            assert _lines_before_a_page_gone(golden_dir, work, jobs,
+                                             run_here) == 7, jobs
+    finally:
+        pipeline._release_pool()
 
 
 @pytest.mark.parametrize("tool", ["null", "partial"])

@@ -509,6 +509,16 @@ def test_load_index_sorts_and_dedupes_each_page_labels(tmp_path: Path):
         '{"doc":"1401.0002","page":0,"path":"b.txt","labels":["author","title"]}]}\n')
 
 
+def test_load_index_refuses_a_page_key_listed_twice(tmp_path: Path):
+    cache = tmp_path / "cache.json"
+    entries = [{"doc": "1401.0001", "page": page, "path": f"a{page}.txt",
+                "labels": ["title"]} for page in (0, 1, 0)]
+    cache.write_text(json.dumps({"format_version": 1, "vocabulary": ["title"],
+                                 "entries": entries}), encoding="utf-8")
+    with pytest.raises(ConfigError, match="entry 2 repeats page 1401.0001:0"):
+        load_index(cache)
+
+
 def test_index_load_rejects_unknown_version(tmp_path: Path):
     path = tmp_path / "index.json"
     path.write_text('{"format_version": 99}', encoding="utf-8")

@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import pickle
 import random
+import sys
 import unicodedata
 import xml.etree.ElementPath as ElementPath
 import xml.etree.ElementTree as ET
@@ -32,6 +33,25 @@ def test_tokenize_unicode_whitespace():
     assert tokenize("non\u00a0breaking") == ("non", "breaking")
     assert tokenize("") == ()
     assert tokenize("   ") == ()
+
+
+# The code points str.isspace accepts on Python 3.11 (Unicode 14.0.0). The
+# same table drives str.split() in tokenize and str.strip() in the
+# ground-truth parser under every config, and config_hash does not
+# fingerprint it: a Python whose table differs would split tokens, and so
+# score, differently under one fingerprint.
+UNICODE_WHITESPACE = (0x09, 0x0A, 0x0B, 0x0C, 0x0D, 0x1C, 0x1D, 0x1E, 0x1F,
+                      0x20, 0x85, 0xA0, 0x1680, *range(0x2000, 0x200B),
+                      0x2028, 0x2029, 0x202F, 0x205F, 0x3000)
+
+
+def test_unicode_whitespace_is_the_same_on_every_supported_python():
+    assert [code for code in range(sys.maxunicode + 1)
+            if chr(code).isspace()] == list(UNICODE_WHITESPACE)
+    spaces = [chr(code) for code in UNICODE_WHITESPACE]
+    assert tokenize("".join(f"t{i}{space}" for i, space in enumerate(spaces))) \
+        == tuple(f"t{i}" for i in range(29))
+    assert "".join(spaces).strip() == ""
 
 
 def test_record_tokens_flatten_units():

@@ -453,7 +453,9 @@ def _lines(results) -> list[str]:
 
 @pytest.mark.parametrize("jobs", (1, 2))
 def test_fresh_run_parses_every_planned_page_once(golden_dir: Path,
-                                                  count_gt_parses, jobs: int):
+                                                  count_gt_parses, monkeypatch,
+                                                  jobs: int):
+    monkeypatch.setattr(pipeline, "_RUN_PAGES", 1)  # three runs: on the pool
     parsed = count_gt_parses()
     list(evaluate_run(_golden_config(golden_dir, "partial", parallelism=jobs)))
     # Two workers parse their documents at the same time, in no set order.
@@ -467,8 +469,11 @@ def test_fresh_run_parses_every_planned_page_once(golden_dir: Path,
 def test_resume_parses_only_the_pages_with_pending_units(golden_dir: Path,
                                                          tmp_path: Path,
                                                          count_gt_parses,
+                                                         monkeypatch,
                                                          jobs: int,
                                                          dropped: tuple):
+    # Three runs: at two jobs the runs with a pending unit go to the pool.
+    monkeypatch.setattr(pipeline, "_RUN_PAGES", 1)
     golden = (golden_dir / "expected" / "partial.jsonl").read_bytes()
     header, *lines = golden.splitlines(keepends=True)
     on_pages = [line for line in lines
@@ -493,6 +498,7 @@ def test_resume_parses_only_the_pages_with_pending_units(golden_dir: Path,
 def test_parent_parses_no_ground_truth_at_two_jobs(golden_dir: Path,
                                                    tmp_path: Path,
                                                    monkeypatch):
+    monkeypatch.setattr(pipeline, "_RUN_PAGES", 1)  # three runs: on the pool
     config = _golden_config(golden_dir, "partial", parallelism=2)
     list(evaluate_run(config))  # the pool forks here, before the patch
     parsed = []
@@ -1161,7 +1167,9 @@ def test_runs_of_whole_documents_give_the_clean_bytes(golden_dir: Path,
 
 
 def test_one_worker_run_loads_no_process_pool_modules(golden_dir: Path):
+    # At two jobs too: the golden corpus is one run, which the parent scores.
     script = f"""
+import dataclasses
 import sys
 from pathlib import Path
 import docbench
@@ -1171,7 +1179,8 @@ golden = Path({str(golden_dir)!r})
 config = RunConfig(output_root=golden / "out" / "partial",
                    adapter=load_adapter_config(golden / "adapters" / "partial.json"),
                    labels={GOLDEN_LABELS!r}, gt_root=golden / "gt")
-assert len(list(evaluate_run(config))) == 9
+for jobs in (1, 2):
+    assert len(list(evaluate_run(dataclasses.replace(config, parallelism=jobs)))) == 9
 print(sorted({{"multiprocessing", "concurrent.futures.process"}} & set(sys.modules)))
 """
     src = str(Path(docbench.__file__).parents[1])
@@ -1185,7 +1194,8 @@ print(sorted({{"multiprocessing", "concurrent.futures.process"}} & set(sys.modul
 
 @pytest.mark.skipif(worker_count(2) < 2, reason="a worker pool needs 2 CPUs")
 def test_killed_worker_breaks_one_run_then_a_fresh_pool_serves(
-        golden_dir: Path, tmp_path: Path, deadline):
+        golden_dir: Path, tmp_path: Path, deadline, monkeypatch):
+    monkeypatch.setattr(pipeline, "_RUN_PAGES", 1)  # three runs: on the pool
     sequential = tmp_path / "seq.jsonl"
     list(evaluate_run(_golden_config(golden_dir, "partial"),
                       journal_path=sequential))
@@ -1206,6 +1216,7 @@ def test_pool_is_replaced_when_the_worker_count_changes(golden_dir: Path,
                                                        tmp_path: Path,
                                                        monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    monkeypatch.setattr(pipeline, "_RUN_PAGES", 1)  # three runs: on the pool
     sequential = tmp_path / "seq.jsonl"
     list(evaluate_run(_golden_config(golden_dir, "partial"),
                       journal_path=sequential))
@@ -1216,6 +1227,59 @@ def test_pool_is_replaced_when_the_worker_count_changes(golden_dir: Path,
                           journal_path=journal))
         assert journal.read_bytes() == sequential.read_bytes()
         assert len(multiprocessing.active_children()) == jobs
+
+
+def test_finished_journal_resumed_at_two_jobs_forks_no_pool(golden_dir: Path,
+                                                           tmp_path: Path,
+                                                           monkeypatch):
+    """Each of the three runs has every unit journalled, so each is a
+    finished future of its keys and no worker is needed."""
+    monkeypatch.setattr(pipeline, "_RUN_PAGES", 1)
+    config = _golden_config(golden_dir, "partial")
+    journal = tmp_path / "partial.jsonl"
+    clean = list(evaluate_run(config, journal_path=journal))
+    finished = journal.read_bytes()
+    _shut_pool()
+    resumed = list(evaluate_run(dataclasses.replace(config, parallelism=2),
+                                journal_path=journal))
+    assert pipeline._pool is None
+    assert multiprocessing.active_children() == []
+    assert _lines(resumed) == _lines(clean)
+    assert journal.read_bytes() == finished
+
+
+@pytest.mark.skipif(worker_count(2) < 2, reason="a worker pool needs 2 CPUs")
+def test_pool_takes_page_plans_as_runs_finish(tmp_path: Path, monkeypatch):
+    """Before the first result the pool path has taken at most two runs per
+    worker in flight and the one waiting for a slot, not the whole plan."""
+    monkeypatch.setattr(pipeline, "_RUN_PAGES", 1)  # a run per document
+    root = tmp_path / "gt"
+    root.mkdir()
+    for d in range(16):
+        (root / f"2101.{d:05d}_0.txt").write_text(
+            "Deep\t0\t0\t1\t1\t0\t0\t0\tF\ttitle\n", encoding="utf-8")
+    config = RunConfig(output_root=tmp_path / "none", gt_root=root,
+                       labels=("title",), adapter=AdapterConfig("t", "text"),
+                       parallelism=2)
+    taken, plans = [], pipeline._page_plans
+
+    def counted(*args):
+        for plan in plans(*args):
+            taken.append(plan)
+            yield plan
+
+    monkeypatch.setattr(pipeline, "_page_plans", counted)
+    results = evaluate_run(config)
+    try:
+        next(results)
+        # groupby reads the first page after a run to see where it ends
+        assert len(taken) <= 2 * worker_count(2) + 1 + 1
+    finally:
+        results.close()
+        _shut_pool()
+    taken.clear()
+    assert len(list(evaluate_run(config))) == len(taken) == 16
+    _shut_pool()
 
 
 def test_evaluate_run_accepts_prebuilt_index(golden_dir: Path):

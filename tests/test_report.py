@@ -118,8 +118,6 @@ def test_cumulative_f1_rounds_each_label_first():
         _row("t", "author", 1.0 / 3.0),
     ]
     assert cumulative_f1(rows, "metadata").cumulative_f1 == 0.99
-    raw = cumulative_f1(rows, "metadata", rounded=False).cumulative_f1
-    assert abs(raw - 1.0) < 1e-12
 
 
 def test_cumulative_f1_missing_labels_count_zero():
@@ -175,8 +173,6 @@ def test_emit_report_csv_detected_variant_and_precision():
     rows = [_row("t", "title", 0.875)]
     text = emit_report(rows, fmt="csv", variant="detected")
     assert "t,title,1,1,0.44,0.44,0.44,0.44" in text
-    text = emit_report(rows, fmt="csv", decimals=4)
-    assert "t,title,1,1,0.8750,0.8750,0.8750,0.8750" in text
 
 
 def test_emit_report_csv_empty_rows():
