@@ -107,8 +107,10 @@ def config_hash(config: RunConfig) -> str:
 PagePlan = tuple[PageKey, str, tuple[str, ...]]
 
 
-def _unit_keys(key: PageKey, labels: Iterable[str]) -> list[UnitKey]:
-    return [(*key, label) for label in labels]
+def _journalled_units(key: PageKey, labels: Iterable[str],
+                      journalled: Container[UnitKey]) -> list[UnitKey] | None:
+    listed = [(*key, label) for label in labels]
+    return listed if all(unit in journalled for unit in listed) else None
 
 
 def _page_plans(index: CorpusIndex, config: RunConfig) -> Iterator[PagePlan]:
@@ -143,16 +145,16 @@ def _plan_pages(pages: Iterable[PagePlan], config: RunConfig,
     wanted = sorted(set(config.labels))
     units: list[EvaluationUnit | UnitKey] = []
     for key, path, labels in pages:
-        listed = _unit_keys(key, labels)
-        if all(unit in journalled for unit in listed):
+        listed = _journalled_units(key, labels, journalled)
+        if listed is not None:
             units.extend(listed)
             continue
         page = parse_gt_page(path, vocabulary, config.key_pattern,
                              strict=False, nfc=config.match.normalize_nfc)
-        for unit, label in zip(_unit_keys(key, wanted), wanted):
+        for label in wanted:
             gt_tokens = page.tokens_for_label(label)
             if gt_tokens:
-                units.append(unit if unit in journalled
+                units.append((*key, label) if (*key, label) in journalled
                              else EvaluationUnit(key, label, gt_tokens))
     return units
 
@@ -288,8 +290,7 @@ def _worker_pool(workers: int):
     """
     global _pool
     if _pool is not None and _pool[0] != workers:
-        _pool[1].shutdown()
-        _pool = None
+        _release_pool()
     if _pool is None:
         import multiprocessing
         import signal
@@ -348,19 +349,18 @@ def _evaluate_documents(pages: Iterable[PagePlan], config: RunConfig,
         return
     del ahead  # runs alone holds the two runs taken ahead
     from concurrent.futures import BrokenExecutor, Future
-    pool = None
     in_flight: deque = deque()
     try:
         for run in runs:
             if len(in_flight) == 2 * workers:
                 yield from in_flight.popleft().result()
-            listed = [unit for key, _, labels in run for unit in _unit_keys(key, labels)]
-            if all(unit in done for unit in listed):
+            listed = [_journalled_units(key, labels, done) for key, _, labels in run]
+            if None not in listed:
                 future = Future()
-                future.set_result(listed)
+                future.set_result(list(chain.from_iterable(listed)))
             else:
-                journalled = {unit for key, _, _ in run for unit in
-                              _unit_keys(key, config.labels) if unit in done}
+                journalled = done.keys() & [(*key, label) for key, _, _ in run
+                                            for label in config.labels]
                 pool = _worker_pool(workers)
                 future = pool.submit(_evaluate_task, run, config, vocabulary,
                                      journalled)

@@ -31,3 +31,13 @@ def deadline():
             signal.alarm(0)
             signal.signal(signal.SIGALRM, previous)
     return within
+
+
+@pytest.fixture
+def run_per_document(monkeypatch):
+    """Closes each evaluation run at its first document boundary, so a corpus
+    of several documents spans several runs and more than one job sends them
+    to the worker pool, where a corpus that fits in one run is scored in the
+    parent at any worker count."""
+    from docbench import pipeline
+    monkeypatch.setattr(pipeline, "_RUN_PAGES", 1)

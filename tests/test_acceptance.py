@@ -18,6 +18,7 @@ from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from docbench.corpus import PageKey
 from docbench.interchange import (AdapterConfig, load_adapter_config,
@@ -234,6 +235,7 @@ def test_criterion_8_corpus_scale_procedure(capsys, tmp_path):
                 assert 0.0 <= value <= 1.0
 
 
+@pytest.mark.usefixtures("run_per_document")  # 125 runs: on the pool at 4 jobs
 def test_criterion_9_performance_and_parallel_determinism(capsys, tmp_path):
     with criterion(capsys, 9, "performance and parallel determinism"):
         rng = random.Random(20140819)

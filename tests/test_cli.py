@@ -467,12 +467,15 @@ def test_journal_with_two_configs_is_refused(golden_dir: Path,
     assert not (tmp_path / "f1.svg").exists()
 
 
+@pytest.mark.usefixtures("run_per_document")
 def test_eval_parallel_bytes_match(golden_dir: Path, tmp_path: Path):
+    # The parallel run is in process, where the golden corpus spans three
+    # runs, which four jobs send to the pool.
+    from docbench import cli
     seq = tmp_path / "seq.jsonl"
     par = tmp_path / "par.jsonl"
     assert _run(*_eval_args(golden_dir, "partial", seq)).returncode == 0
-    assert _run(*_eval_args(golden_dir, "partial", par),
-                "--jobs", "4").returncode == 0
+    assert cli.main([*_eval_args(golden_dir, "partial", par), "--jobs", "4"]) == 0
     assert seq.read_bytes() == par.read_bytes()
 
 
@@ -540,15 +543,14 @@ def test_eval_with_a_ground_truth_page_gone(golden_dir: Path, tmp_path: Path,
                                      _run_process) == 1
 
 
+@pytest.mark.usefixtures("run_per_document")
 def test_eval_journals_earlier_runs_before_a_page_gone(golden_dir: Path,
-                                                       tmp_path: Path,
-                                                       monkeypatch, capsys):
-    """With runs of one page, one worker scores each document before it
+                                                       tmp_path: Path, capsys):
+    """With a run per document, one worker scores each document before it
     plans the next, and two plan their own documents, whose results reach
     the parent in order before the third document's error: either way the
     first two documents are journalled."""
     from docbench import cli, pipeline
-    monkeypatch.setattr(pipeline, "_RUN_PAGES", 1)
 
     def run_here(args: list[str]) -> tuple[int, str]:
         return cli.main(args), capsys.readouterr().err

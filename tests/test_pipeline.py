@@ -338,6 +338,7 @@ def test_evaluate_run_rejects_foreign_journal(golden_dir: Path,
         list(evaluate_run(other, journal_path=journal))
 
 
+@pytest.mark.usefixtures("run_per_document")
 def test_evaluate_run_parallel_identical_bytes(golden_dir: Path,
                                                tmp_path: Path):
     sequential = tmp_path / "seq.jsonl"
@@ -451,11 +452,10 @@ def _lines(results) -> list[str]:
     return [unit_result_to_line(r) for r in results]
 
 
+@pytest.mark.usefixtures("run_per_document")
 @pytest.mark.parametrize("jobs", (1, 2))
 def test_fresh_run_parses_every_planned_page_once(golden_dir: Path,
-                                                  count_gt_parses, monkeypatch,
-                                                  jobs: int):
-    monkeypatch.setattr(pipeline, "_RUN_PAGES", 1)  # three runs: on the pool
+                                                  count_gt_parses, jobs: int):
     parsed = count_gt_parses()
     list(evaluate_run(_golden_config(golden_dir, "partial", parallelism=jobs)))
     # Two workers parse their documents at the same time, in no set order.
@@ -464,16 +464,15 @@ def test_fresh_run_parses_every_planned_page_once(golden_dir: Path,
                     "1403.0777:0", "1403.0777:2"]
 
 
+@pytest.mark.usefixtures("run_per_document")
 @pytest.mark.parametrize("jobs", (1, 2))
 @pytest.mark.parametrize("dropped", ((), ("1402.0042:0",), ("1403.0777:2",)))
 def test_resume_parses_only_the_pages_with_pending_units(golden_dir: Path,
                                                          tmp_path: Path,
                                                          count_gt_parses,
-                                                         monkeypatch,
                                                          jobs: int,
                                                          dropped: tuple):
     # Three runs: at two jobs the runs with a pending unit go to the pool.
-    monkeypatch.setattr(pipeline, "_RUN_PAGES", 1)
     golden = (golden_dir / "expected" / "partial.jsonl").read_bytes()
     header, *lines = golden.splitlines(keepends=True)
     on_pages = [line for line in lines
@@ -494,11 +493,11 @@ def test_resume_parses_only_the_pages_with_pending_units(golden_dir: Path,
         assert journal.read_bytes() == golden
 
 
+@pytest.mark.usefixtures("run_per_document")
 @pytest.mark.skipif(worker_count(2) < 2, reason="a worker pool needs 2 CPUs")
 def test_parent_parses_no_ground_truth_at_two_jobs(golden_dir: Path,
                                                    tmp_path: Path,
                                                    monkeypatch):
-    monkeypatch.setattr(pipeline, "_RUN_PAGES", 1)  # three runs: on the pool
     config = _golden_config(golden_dir, "partial", parallelism=2)
     list(evaluate_run(config))  # the pool forks here, before the patch
     parsed = []
@@ -702,6 +701,7 @@ def test_read_journal_skips_a_repeated_header(golden_dir: Path,
         == ["skipping repeated header on journal line 4"]
 
 
+@pytest.mark.usefixtures("run_per_document")
 @pytest.mark.parametrize("jobs", (1, 2))
 @pytest.mark.parametrize("kept", ("every line", "every other line"))
 def test_resume_yields_records_equal_to_the_journal(golden_dir: Path,
@@ -811,6 +811,7 @@ def _doc_scope_corpus(root: Path) -> dict:
                                       scope="document"))
 
 
+@pytest.mark.usefixtures("run_per_document")
 def test_each_output_file_is_read_once_in_both_scopes(golden_dir: Path,
                                                       tmp_path: Path,
                                                       monkeypatch):
@@ -882,6 +883,7 @@ def test_each_output_file_is_looked_up_once_per_document(golden_dir: Path,
                                  if (Path(config.output_root) / name).is_file())
 
 
+@pytest.mark.usefixtures("run_per_document")
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no FIFOs here")
 def test_output_path_that_is_not_a_regular_file(tmp_path: Path, monkeypatch,
                                                 capsys, deadline):
@@ -937,6 +939,7 @@ def test_output_path_that_is_not_a_regular_file(tmp_path: Path, monkeypatch,
                                    ("2101.00001", STATUS_MISSING)]
 
 
+@pytest.mark.usefixtures("run_per_document")
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no FIFOs here")
 def test_ground_truth_entry_that_is_not_a_regular_file(tmp_path: Path, capsys,
                                                       deadline):
@@ -1029,6 +1032,7 @@ FORMAT_OUTPUTS = {
 
 
 @pytest.mark.skipif(worker_count(2) < 2, reason="a worker pool needs 2 CPUs")
+@pytest.mark.usefixtures("run_per_document")
 @pytest.mark.parametrize("fmt", FORMAT_OUTPUTS)
 def test_pool_journal_equals_the_inline_one_in_every_format(tmp_path: Path,
                                                             fmt: str):
@@ -1192,10 +1196,10 @@ print(sorted({{"multiprocessing", "concurrent.futures.process"}} & set(sys.modul
     assert proc.stdout.strip() == "[]"
 
 
+@pytest.mark.usefixtures("run_per_document")
 @pytest.mark.skipif(worker_count(2) < 2, reason="a worker pool needs 2 CPUs")
 def test_killed_worker_breaks_one_run_then_a_fresh_pool_serves(
-        golden_dir: Path, tmp_path: Path, deadline, monkeypatch):
-    monkeypatch.setattr(pipeline, "_RUN_PAGES", 1)  # three runs: on the pool
+        golden_dir: Path, tmp_path: Path, deadline):
     sequential = tmp_path / "seq.jsonl"
     list(evaluate_run(_golden_config(golden_dir, "partial"),
                       journal_path=sequential))
@@ -1212,11 +1216,11 @@ def test_killed_worker_breaks_one_run_then_a_fresh_pool_serves(
     assert parallel.read_bytes() == sequential.read_bytes()
 
 
+@pytest.mark.usefixtures("run_per_document")
 def test_pool_is_replaced_when_the_worker_count_changes(golden_dir: Path,
                                                        tmp_path: Path,
                                                        monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
-    monkeypatch.setattr(pipeline, "_RUN_PAGES", 1)  # three runs: on the pool
     sequential = tmp_path / "seq.jsonl"
     list(evaluate_run(_golden_config(golden_dir, "partial"),
                       journal_path=sequential))
@@ -1229,12 +1233,11 @@ def test_pool_is_replaced_when_the_worker_count_changes(golden_dir: Path,
         assert len(multiprocessing.active_children()) == jobs
 
 
+@pytest.mark.usefixtures("run_per_document")
 def test_finished_journal_resumed_at_two_jobs_forks_no_pool(golden_dir: Path,
-                                                           tmp_path: Path,
-                                                           monkeypatch):
+                                                           tmp_path: Path):
     """Each of the three runs has every unit journalled, so each is a
     finished future of its keys and no worker is needed."""
-    monkeypatch.setattr(pipeline, "_RUN_PAGES", 1)
     config = _golden_config(golden_dir, "partial")
     journal = tmp_path / "partial.jsonl"
     clean = list(evaluate_run(config, journal_path=journal))
@@ -1248,11 +1251,11 @@ def test_finished_journal_resumed_at_two_jobs_forks_no_pool(golden_dir: Path,
     assert journal.read_bytes() == finished
 
 
+@pytest.mark.usefixtures("run_per_document")
 @pytest.mark.skipif(worker_count(2) < 2, reason="a worker pool needs 2 CPUs")
 def test_pool_takes_page_plans_as_runs_finish(tmp_path: Path, monkeypatch):
     """Before the first result the pool path has taken at most two runs per
     worker in flight and the one waiting for a slot, not the whole plan."""
-    monkeypatch.setattr(pipeline, "_RUN_PAGES", 1)  # a run per document
     root = tmp_path / "gt"
     root.mkdir()
     for d in range(16):
