@@ -175,7 +175,9 @@ def _compiled_key_pattern(pattern: str) -> re.Pattern[str]:
     # syntax, leaving lookbehinds (?<= and (?<! alone.
     translated = re.sub(r"\(\?<(?![=!])", "(?P<", pattern)
     try:
-        compiled = re.compile(translated)
+        # ASCII classes: \d is [0-9] whatever the interpreter's Unicode
+        # tables hold, so one fingerprint indexes the same pages on each.
+        compiled = re.compile(translated, re.ASCII)
     except re.error as exc:
         raise ConfigError(f"invalid key pattern: {exc}") from None
     for group in ("doc", "page"):

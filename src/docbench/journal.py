@@ -108,15 +108,19 @@ def read_units(journal: BinaryIO, whole_lines: bool = False,
     its own, so a line cut inside a multi-byte character is one malformed
     line. The first header counts; a later one with another config raises
     ConfigError, and a repeat of it is skipped with a warning. The units of
-    a page share one PageKey. With whole_lines, a last line without a
-    newline, which an interrupted write leaves, is not read, and the journal
-    is left at its start.
+    a page share one PageKey, and units with equal uniform scores one
+    DocumentScores. With whole_lines, a last line without a newline, which
+    an interrupted write leaves, is not read, and the journal is left at its
+    start.
     """
     header, header_line = None, 0
     early: list[UnitResult] | None = []  # the results before the header
     seen = {} if seen is None else seen
     keys: dict[tuple[str, int], PageKey] = {}
     names: dict[str, str] = {}  # one copy of each label and status
+    # One record per (score, m, n) of the pattern-read lines whose four scores
+    # are one string: the ones of exact units, the zeros of empty ones.
+    uniform: dict[tuple[str, str, str], DocumentScores] = {}
     for line_no, line in enumerate(journal, start=1):
         if whole_lines and line[-1] != 10:  # no b"\n"
             journal.seek(-len(line), os.SEEK_CUR)
@@ -126,9 +130,14 @@ def read_units(journal: BinaryIO, whole_lines: bool = False,
             continue
         try:
             text = line.decode("utf-8")
-            fields = _match_unit_line(text)
+            fields, scores = _match_unit_line(text), None
             if fields is not None:
                 doc, page, label, status, p, r, f1, acc, m, n = fields.groups()
+                if p == r == f1 == acc:
+                    scores = uniform.get((p, m, n))
+                    if scores is None:
+                        scores = uniform[p, m, n] = _new(DocumentScores, (
+                            float(p),) * 4 + (int(m), int(n), ()))
             else:
                 payload, end = _decode(text)
                 if end != len(text):
@@ -150,8 +159,9 @@ def read_units(journal: BinaryIO, whole_lines: bool = False,
                     payload["doc"], payload["page"], payload["label"],
                     payload["status"], payload["p"], payload["r"],
                     payload["f1"], payload["acc"], payload["m"], payload["n"])
-            scores = _new(DocumentScores, (float(p), float(r), float(f1),
-                                           float(acc), int(m), int(n), ()))
+            if scores is None:
+                scores = _new(DocumentScores, (float(p), float(r), float(f1),
+                                               float(acc), int(m), int(n), ()))
             page = (doc, int(page))
             key = keys.get(page)
             if key is None:

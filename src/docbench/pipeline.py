@@ -9,7 +9,8 @@ independent of the worker count. The parent cuts the index's page plans into
 runs of whole documents as it takes them, so it never holds every plan. With
 one worker, or a plan of one run, it plans and scores one run at a time; with
 more, each run is a pool task, whose worker parses its own ground-truth
-pages, while the parent writes the results in unit order.
+pages, while the parent writes the results, and logs what the workers
+would have logged, in unit order.
 """
 
 from __future__ import annotations
@@ -250,9 +251,41 @@ def _evaluate_pages(pages: list[PagePlan], config: RunConfig,
         yield score_unit(unit, config, cache)
 
 
-def _evaluate_task(*args) -> list[UnitResult | UnitKey]:
-    """The task a pool worker runs: _evaluate_pages over one run."""
-    return list(_evaluate_pages(*args))
+class _HeldRecords(logging.Handler):
+    """Holds the records it is handed, their messages formatted, so they
+    pickle."""
+
+    def __init__(self):
+        super().__init__()
+        self.records: list[logging.LogRecord] = []
+
+    def emit(self, record: logging.LogRecord) -> None:
+        record.msg, record.args, record.exc_info = self.format(record), None, None
+        self.records.append(record)
+
+
+def _evaluate_task(*args) -> tuple[list[UnitResult | UnitKey], list[logging.LogRecord]]:
+    """The task a pool worker runs: _evaluate_pages over one run, and the
+    records docbench logged meanwhile, held rather than emitted, so the
+    parent emits them when it takes the run: in unit order, as one worker
+    would."""
+    package, held = logging.getLogger("docbench"), _HeldRecords()
+    package.addHandler(held)
+    propagate, package.propagate = package.propagate, False
+    try:
+        return list(_evaluate_pages(*args)), held.records
+    finally:
+        package.removeHandler(held)
+        package.propagate = propagate
+
+
+def _taken(task: tuple[list[UnitResult | UnitKey], list[logging.LogRecord]],
+           ) -> list[UnitResult | UnitKey]:
+    """A finished task's results, once its held records are emitted."""
+    results, records = task
+    for record in records:
+        logging.getLogger(record.name).handle(record)
+    return results
 
 
 def worker_count(parallelism: int) -> int:
@@ -353,11 +386,11 @@ def _evaluate_documents(pages: Iterable[PagePlan], config: RunConfig,
     try:
         for run in runs:
             if len(in_flight) == 2 * workers:
-                yield from in_flight.popleft().result()
+                yield from _taken(in_flight.popleft().result())
             listed = [_journalled_units(key, labels, done) for key, _, labels in run]
             if None not in listed:
                 future = Future()
-                future.set_result(list(chain.from_iterable(listed)))
+                future.set_result((list(chain.from_iterable(listed)), []))
             else:
                 journalled = done.keys() & [(*key, label) for key, _, _ in run
                                             for label in config.labels]
@@ -366,7 +399,7 @@ def _evaluate_documents(pages: Iterable[PagePlan], config: RunConfig,
                                      journalled)
             in_flight.append(future)
         while in_flight:
-            yield from in_flight.popleft().result()
+            yield from _taken(in_flight.popleft().result())
     except BrokenExecutor:  # the pool's BrokenProcessPool
         pool.shutdown(wait=False)
         _pool = None

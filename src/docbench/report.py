@@ -14,6 +14,7 @@ import json
 import math
 from dataclasses import asdict, dataclass
 from decimal import ROUND_HALF_EVEN, Decimal
+from operator import itemgetter
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Sequence
 
@@ -22,6 +23,7 @@ from .errors import ConfigError
 
 if TYPE_CHECKING:
     from .journal import UnitResult
+    from .metrics import DocumentScores
 
 # Task groups for cumulative F1. The maximum attainable value per task is
 # the number of labels in the group.
@@ -72,35 +74,36 @@ class TaskSummary:
     max_possible: int
 
 
-def _mean(values: Sequence[float]) -> float:
+# precision, recall, f1 and accuracy: the first four DocumentScores fields
+_SCORE_FIELDS = tuple(map(itemgetter, range(4)))
+
+
+def _means(scores: Sequence[DocumentScores]) -> list[float]:
+    """The mean of each score field, in _SCORE_FIELDS order."""
     # fsum is correctly rounded on every Python version; sum() of floats
     # compensates from 3.12 on, so its last bits depend on the interpreter.
-    return math.fsum(values) / len(values) if values else 0.0
+    if not scores:
+        return [0.0] * 4
+    return [math.fsum(map(field, scores)) / len(scores)
+            for field in _SCORE_FIELDS]
 
 
 def aggregate(results: Iterable[UnitResult], tool: str = "unknown") -> list[AggregateRow]:
     """Collapse one tool's unit results into per-label rows, sorted by label."""
-    by_label: dict[str, list[UnitResult]] = {}
+    by_label: dict[str, list[DocumentScores]] = {}
     for result in results:
-        by_label.setdefault(result.label, []).append(result)
+        by_label.setdefault(result.label, []).append(result.scores)
     rows = []
     for label in sorted(by_label):
-        units = by_label[label]
-        processed = [u for u in units if u.scores.f1 > 0.0]
+        scores = by_label[label]
+        processed = [s for s in scores if s.f1 > 0.0]
+        p, r, f1, acc = _means(processed)
+        p_detected, r_detected, f1_detected, acc_detected = _means(scores)
         rows.append(AggregateRow(
-            tool=tool,
-            label=label,
-            detected=len(units),
-            processed=len(processed),
-            acc=_mean([u.scores.accuracy for u in processed]),
-            f1=_mean([u.scores.f1 for u in processed]),
-            p=_mean([u.scores.precision for u in processed]),
-            r=_mean([u.scores.recall for u in processed]),
-            acc_detected=_mean([u.scores.accuracy for u in units]),
-            f1_detected=_mean([u.scores.f1 for u in units]),
-            p_detected=_mean([u.scores.precision for u in units]),
-            r_detected=_mean([u.scores.recall for u in units]),
-        ))
+            tool=tool, label=label, detected=len(scores),
+            processed=len(processed), acc=acc, f1=f1, p=p, r=r,
+            acc_detected=acc_detected, f1_detected=f1_detected,
+            p_detected=p_detected, r_detected=r_detected))
     return rows
 
 

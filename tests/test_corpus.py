@@ -174,6 +174,20 @@ def test_parse_page_key_default_pattern():
     assert key.page_index == 7
 
 
+def test_default_pattern_takes_only_ascii_digits(tmp_path: Path):
+    # A Tangsa digit (Unicode 14), which a Unicode \d accepts from 3.11 on
+    # but not on 3.10: the pattern's classes are ASCII on every interpreter.
+    name = "2101.00001_\U00016AC1.txt"
+    with pytest.raises(KeyParseError, match="does not match"):
+        parse_page_key(name)
+    (tmp_path / name).write_text(GOOD_LINE + "\n", encoding="utf-8")
+    (tmp_path / "2101.00001_0.txt").write_text(GOOD_LINE + "\n",
+                                               encoding="utf-8")
+    index = index_corpus(tmp_path)
+    assert list(index.entries) == [PageKey("2101.00001", 0)]
+    assert index.skipped_files == (name,)
+
+
 def test_parse_page_key_failures():
     with pytest.raises(KeyParseError):
         parse_page_key("notes.txt")

@@ -520,8 +520,8 @@ def test_parent_parses_no_ground_truth_at_two_jobs(golden_dir: Path,
 def test_read_journal_skips_a_line_cut_inside_a_character(golden_dir: Path,
                                                          tmp_path: Path,
                                                          caplog):
-    # The default key pattern's \d accepts Arabic-Indic digits, two UTF-8
-    # bytes each: 9 and 11 bytes into the line fall inside one.
+    # A document id of Arabic-Indic digits, two UTF-8 bytes each (a custom
+    # key pattern can give one): 9 and 11 bytes into the line fall inside one.
     doc = "\u0662\u0661\u0660\u0661.\u0660\u0660\u0660\u0660\u0661"
     golden = (golden_dir / "expected" / "partial.jsonl").read_bytes()
     header, first, *_ = golden.splitlines(keepends=True)
@@ -536,9 +536,9 @@ def test_read_journal_skips_a_line_cut_inside_a_character(golden_dir: Path,
         assert "malformed journal line 3" in caplog.text
 
 
-# A document id of Arabic-Indic digits, two UTF-8 bytes each, which the
-# default key pattern's \d accepts: cutting its line at every offset cuts
-# inside a character too.
+# A document id of Arabic-Indic digits, two UTF-8 bytes each, which a
+# custom key pattern can give: cutting its line at every offset cuts inside
+# a character too.
 _WIDE_DOC = "\u0662\u0661\u0660\u0661.\u0660\u0660\u0660\u0660\u0661"
 
 
@@ -629,6 +629,19 @@ def test_read_journal_agrees_with_the_reference_reader(golden_dir: Path,
         if rng.random() < 0.05:
             mixed.insert(rng.randrange(1, len(mixed) + 1), other_header)
         journals.append(b"".join(mixed))
+    # Lines of one score in all four fields, which share a scores record
+    # per (score, m, n): units that differ only in m, n, score or status,
+    # in order, reversed and in seeded mixes with repeats.
+    uniform = [unit_result_to_line(UnitResult(
+        PageKey("2101.00001", page), "title", status,
+        DocumentScores(value, value, value, value, m, n))).encode() + b"\n"
+        for page, (value, m, n, status) in enumerate(
+            (value, m, n, status) for value in (0.0, 0.5, 1.0)
+            for m in (0, 1, 7) for n in (0, 1, 7)
+            for status in (STATUS_SCORED, STATUS_MISSING))]
+    journals += [header + b"".join(uniform), header + b"".join(uniform[::-1])]
+    journals += [header + b"".join(rng.choices(uniform, k=30))
+                 for _ in range(20)]
     refused = 0
     for data in journals:
         journal.write_bytes(data)
@@ -642,6 +655,28 @@ def test_read_journal_agrees_with_the_reference_reader(golden_dir: Path,
         assert _read_like_the_oracle(journal, caplog) \
             == (expected, [repr(record) for record in records], warnings), data
     assert 0 < refused < len(journals) // 10
+
+
+def test_units_with_one_uniform_outcome_share_their_scores(tmp_path: Path):
+    outcomes = [(1.0, 3, 3), (0.0, 0, 4), (1.0, 3, 3), (0.0, 0, 4),
+                (0.0, 0, 5), (0.5, 2, 2), (0.5, 2, 2)]
+    lines = [unit_result_to_line(UnitResult(
+        PageKey("2101.00001", page), "title", STATUS_SCORED,
+        DocumentScores(value, value, value, value, m, n)))
+        for page, (value, m, n) in enumerate(outcomes)]
+    other = DocumentScores(0.5, 0.25, 1 / 3, 0.5, 2, 2)
+    lines += [unit_result_to_line(UnitResult(PageKey("2101.00002", page),
+                                             "title", STATUS_SCORED, other))
+              for page in range(2)]
+    journal = tmp_path / "uniform.jsonl"
+    journal.write_text("".join(line + "\n" for line in lines),
+                       encoding="utf-8")
+    _, results = read_journal(journal)
+    scores = [r.scores for r in results]
+    assert scores[0] is scores[2] and scores[1] is scores[3]
+    assert scores[5] is scores[6]
+    assert len({id(s) for s in scores[:7]}) == 4
+    assert scores[7] == scores[8] and scores[7] is not scores[8]
 
 
 def test_read_journal_decodes_only_the_header_of_a_written_journal(
@@ -777,13 +812,14 @@ def test_worker_count_is_capped_at_cpu_count(monkeypatch):
     assert worker_count(10_000) == 1
 
 
-def _doc_scope_corpus(root: Path) -> dict:
-    """Four two-page documents with document-wide JSON output: two whole,
-    one without an output file and one whose JSON is cut short."""
+def _doc_scope_corpus(root: Path, statuses: tuple[str, ...] = (
+        "scored", "missing", "scored", "truncated")) -> dict:
+    """Two-page documents with document-wide JSON output, one per status: by
+    default two whole, one without an output file and one whose JSON is cut
+    short."""
     gt_root, out_root = root / "gt", root / "out"
     gt_root.mkdir()
     out_root.mkdir()
-    statuses = ("scored", "missing", "scored", "truncated")
     for d, status in enumerate(statuses):
         doc = f"2101.{d:05d}"
         blocks = []
@@ -881,6 +917,28 @@ def test_each_output_file_is_looked_up_once_per_document(golden_dir: Path,
         assert looked == Counter(names), scope
         assert parsed == Counter(name for name in names
                                  if (Path(config.output_root) / name).is_file())
+
+
+@pytest.mark.usefixtures("run_per_document")
+def test_pool_warnings_are_logged_in_unit_order(tmp_path: Path, monkeypatch,
+                                                caplog):
+    # Each worker holds what it would log and the parent logs it when it
+    # takes that run, so the log reads as at one job, whichever run ends
+    # first.
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    corpus = _doc_scope_corpus(tmp_path, ("truncated", "scored", "truncated",
+                                          "missing"))
+    logged = {}
+    for jobs in (1, 2):
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="docbench.pipeline"):
+            list(evaluate_run(RunConfig(**corpus, parallelism=jobs)))
+        logged[jobs] = [r.getMessage() for r in caplog.records
+                        if r.name == "docbench.pipeline"]
+    assert [m.split(":")[0] for m in logged[1]] == [
+        f"unreadable tool output {tmp_path / 'out' / doc}.json"
+        for doc in ("2101.00000", "2101.00002")]
+    assert logged[2] == logged[1]
 
 
 @pytest.mark.usefixtures("run_per_document")

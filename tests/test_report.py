@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import math
 import random
 import re
 from fractions import Fraction
@@ -95,6 +96,55 @@ def test_aggregate_means_are_the_exact_sum_rounded_once():
                   for _ in range(rng.randint(1, 60))]
         row, = aggregate([_unit("title", v, page=i) for i, v in enumerate(values)])
         assert row.f1_detected == float(sum(map(Fraction, values))) / len(values)
+
+
+def _aggregate_reference(results, tool: str) -> list[AggregateRow]:
+    """aggregate as one list comprehension per mean."""
+    def mean(values):
+        return math.fsum(values) / len(values) if values else 0.0
+
+    by_label: dict[str, list[UnitResult]] = {}
+    for result in results:
+        by_label.setdefault(result.label, []).append(result)
+    rows = []
+    for label in sorted(by_label):
+        units = by_label[label]
+        processed = [u for u in units if u.scores.f1 > 0.0]
+        rows.append(AggregateRow(
+            tool=tool, label=label, detected=len(units),
+            processed=len(processed),
+            acc=mean([u.scores.accuracy for u in processed]),
+            f1=mean([u.scores.f1 for u in processed]),
+            p=mean([u.scores.precision for u in processed]),
+            r=mean([u.scores.recall for u in processed]),
+            acc_detected=mean([u.scores.accuracy for u in units]),
+            f1_detected=mean([u.scores.f1 for u in units]),
+            p_detected=mean([u.scores.precision for u in units]),
+            r_detected=mean([u.scores.recall for u in units])))
+    return rows
+
+
+def test_aggregate_agrees_with_the_reference_formula():
+    rng = random.Random(2811)
+    labels = ("title", "author", "table", "section", "footer")
+    for _ in range(200):
+        never = set(rng.sample(labels, rng.randint(0, 2)))  # none processed
+        results = []
+        for page in range(rng.randint(0, 40)):
+            label = rng.choice(labels)
+            value = rng.choice([0.0, 1.0, rng.random(), round(rng.random(), 2)])
+            if label in never:
+                value = 0.0
+            scores = DocumentScores(
+                rng.choice([value, rng.random()]), rng.random(), value,
+                rng.choice([value, rng.random(), 0.0]), rng.randrange(9),
+                rng.randrange(9))
+            results.append(UnitResult(PageKey("2101.00001", page), label,
+                                      STATUS_SCORED, scores))
+        assert aggregate(iter(results), tool="t") \
+            == _aggregate_reference(results, "t")
+        assert all(row.processed == 0 and row.f1 == row.p == 0.0
+                   for row in aggregate(results) if row.label in never)
 
 
 def test_cumulative_f1_reference_total():
