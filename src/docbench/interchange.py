@@ -376,7 +376,7 @@ def restrict_units(
     for width, positions in by_width.items():
         windows = [collate(gt_tokens[start:start + width])
                    for start in range(len(gt_tokens) - width + 1)]
-        texts, _, found = _qualified_texts(
+        texts, _, found, _ = _qualified_texts(
             [collate(units[p]) for p in positions], windows, config,
             columns=False)
         for position, text in zip(positions, texts):

@@ -45,14 +45,15 @@ _encode_name = lru_cache(maxsize=None)(_encode)
 
 # The unit line's format, and from it the pattern of the lines it writes
 # whose strings json encodes as themselves: non-empty, with no '"', no '\'
-# and no control character. json reads a line the pattern matches in full
-# as the groups' strings and the groups' int() and float() values, so
-# read_units reads such a line from its groups, and any other as JSON.
+# and no control character, and whose scores lie in [0, 1]. json reads a
+# line the pattern matches in full as the groups' strings and the groups'
+# int() and float() values, so read_units reads such a line from its
+# groups, and any other as JSON.
 _UNIT_LINE = ('{"doc":%s,"page":%d,"label":%s,"status":%s,'
               '"p":%.6f,"r":%.6f,"f1":%.6f,"acc":%.6f,"m":%d,"n":%d}')
 _match_unit_line = re.compile(
     re.escape(_UNIT_LINE).replace("%s", r'"([^"\\\x00-\x1f]+)"')
-    .replace("%d", "(0|[1-9][0-9]*)").replace(r"%\.6f", r"([0-9]\.[0-9]{6})")
+    .replace("%d", "(0|[1-9][0-9]*)").replace(r"%\.6f", r"(0\.[0-9]{6}|1\.000000)")
 ).fullmatch
 
 
@@ -101,8 +102,9 @@ def read_units(journal: BinaryIO, whole_lines: bool = False,
     """Stream an open journal: its header (None if it has none), then its
     results in file order, those read before the header held until then.
 
-    A line that is not a complete unit record is skipped with a warning, and
-    so is a repeat of a unit already read: the first line of a unit counts.
+    A line that is not a complete unit record, or has a score outside
+    [0, 1] (NaN too), is skipped with a warning, and so is a repeat of a
+    unit already read: the first line of a unit counts.
     Each result read is stored in seen (a new dict unless given) by its unit
     key, and a unit already in seen counts as read. Each line is decoded on
     its own, so a line cut inside a multi-byte character is one malformed
@@ -162,6 +164,8 @@ def read_units(journal: BinaryIO, whole_lines: bool = False,
             if scores is None:
                 scores = _new(DocumentScores, (float(p), float(r), float(f1),
                                                float(acc), int(m), int(n), ()))
+                if fields is None and not all(0.0 <= s <= 1.0 for s in scores[:4]):
+                    raise ValueError("a score outside [0, 1]")
             page = (doc, int(page))
             key = keys.get(page)
             if key is None:

@@ -22,8 +22,6 @@ from __future__ import annotations
 
 import unicodedata
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import accumulate
 from typing import TYPE_CHECKING, Iterator, NamedTuple, Sequence
 
 if TYPE_CHECKING:
@@ -44,9 +42,10 @@ _MASKS_CUTOFF = 384
 
 # Kernel rows x lanes below which _lane_hits reads each lane with int
 # popcounts: numpy's fixed cost, some 20 us a unit, outweighs its speed per
-# cell there (measured crossover 96-128 cells on words of 2-9 letters, both
-# costs; 2-core x86-64 VM, Python 3.11, numpy 2.4).
-_SMALL_CELLS = 112
+# cell there (measured crossover ~115 cells at cost 1 and ~135 at cost 2 on
+# words of 2-9 letters, the pattern built outside the timing; 2-core x86-64
+# VM, Python 3.11, numpy 2.4).
+_SMALL_CELLS = 126
 
 TokenSequence = Sequence[str]
 
@@ -109,7 +108,6 @@ def _prepare(text: str, config: MatchConfig) -> str:
     return text
 
 
-@lru_cache(maxsize=1)
 def _masks(text: str) -> dict[str, int]:
     """Match masks of text: bit i of masks[c] is set where text[i] == c.
 
@@ -121,9 +119,6 @@ def _masks(text: str) -> dict[str, int]:
     8 * _BLOCK_BITS bytes, and packs each row into one int: linear in the
     text times its alphabet. utf-32 with surrogatepass gives every code
     point, lone surrogates too, one 32-bit unit.
-
-    Kept for the last text: a unit's collated ground truth is the text of
-    its kernel's lanes, read again by its accuracy. Callers only read it.
     """
     masks: dict[str, int] = {}
     if len(text) < _MASKS_CUTOFF:
@@ -179,14 +174,13 @@ def _deltas(text: str, masks: dict[str, int], full: int, starts: int,
     return pv, mv
 
 
-def _distance(text: str, pattern: str, substitution_cost: int) -> int:
-    """distance(text, pattern), the pattern packed as one lane."""
+def _distance(text: str, pattern: str, masks: dict[str, int], cost: int) -> int:
+    """distance(text, pattern), the pattern packed as one lane with its masks."""
     if text == pattern:
         return 0
     full = (1 << len(pattern)) - 1
-    ones = [v.bit_count() for v in _deltas(
-        text, _masks(pattern), full, full & 1, substitution_cost)]
-    if substitution_cost == 2:
+    ones = [v.bit_count() for v in _deltas(text, masks, full, full & 1, cost)]
+    if cost == 2:
         return len(text) - len(pattern) + 2 * ones[0]
     return len(text) + ones[0] - ones[1]
 
@@ -197,7 +191,7 @@ def edit_distance(a: str, b: str, substitution_cost: int = 2) -> int:
         raise ValueError(f"substitution_cost must be 1 or 2: {substitution_cost}")
     if len(a) > len(b):
         a, b = b, a  # the longer string as pattern: fewer interpreted steps
-    return _distance(a, b, substitution_cost)
+    return _distance(a, b, _masks(b), substitution_cost)
 
 
 def lev_ratio(a: str, b: str, config: MatchConfig = DEFAULT_MATCH) -> float:
@@ -206,8 +200,7 @@ def lev_ratio(a: str, b: str, config: MatchConfig = DEFAULT_MATCH) -> float:
     b = _prepare(b, config)
     if not a and not b:
         return 1.0
-    # symmetric; b as the pattern reuses the masks of a unit's lanes
-    return 1.0 - _distance(a, b, config.substitution_cost) / (len(a) + len(b))
+    return 1.0 - _distance(a, b, _masks(b), config.substitution_cost) / (len(a) + len(b))
 
 
 def similarity_matrix(
@@ -223,44 +216,52 @@ def similarity_matrix(
     ex = [_prepare(t, config) for t in extracted]
     gx = [_prepare(t, config) for t in gt]
     values = np.empty((len(ex), len(gx)), dtype=np.float64)
-    lo = 0
-    for block in _lane_ratios(ex, gx, config.substitution_cost):
-        values[lo:lo + len(block)] = block
-        lo += len(block)
+    if ex and gx:
+        lo = 0
+        for block in _lane_ratios(ex, _Pattern(gx), config.substitution_cost):
+            values[lo:lo + len(block)] = block
+            lo += len(block)
     return SimilarityMatrix(values)
 
 
-def _pack(gx: list[str]) -> tuple[list[int], int, int, dict[str, int]]:
-    """The lanes of prepared texts gx in one integer: each lane's first bit
-    position, with a guard bit after it, and the total bit count last; full,
-    every lane's bits; starts, the first bit of each non-empty lane; and the
-    match masks of their collated text. gx is not empty."""
-    lanes = list(accumulate((len(t) + 1 for t in gx), initial=0))
-    # one bit string, most significant lane first: linear in the lane bits
-    full = int("".join("0" + "1" * len(t) for t in reversed(gx)), 2)
-    starts = full & ~(full << 1)  # the lowest bit of each lane's run
-    return lanes, full, starts, _masks(" ".join(gx))
+class _Pattern:
+    """Prepared lanes packed in one integer, each where it sits in their
+    collated text, with the space after it as guard bit; a unit's kernel
+    rows and its accuracy read the one set of masks. spans holds each
+    lane's (first bit, bit mask, length), in lane order; full has every
+    lane's bits and starts the first bit of each non-empty lane."""
+
+    __slots__ = ("text", "masks", "full", "starts", "spans")
+
+    def __init__(self, lanes: TokenSequence):
+        self.text = " ".join(lanes)
+        self.masks = _masks(self.text)
+        self.spans = spans = []
+        full = at = 0
+        for t in lanes:
+            n = len(t)
+            mask = (1 << n) - 1
+            spans.append((at, mask, n))
+            full |= mask << at
+            at += n + 1
+        self.full = full
+        self.starts = full & ~(full << 1)  # the lowest bit of each lane's run
 
 
-def _lane_ratios(ex: list[str], gx: list[str], cost: int) -> Iterator[np.ndarray]:
-    """Ratios of prepared rows ex against prepared lanes gx, in row blocks.
-
-    The lanes share one integer and the masks of their collated text, and
-    the recurrence runs once per row. Nothing runs when either side is empty.
-    """
-    if not ex or not gx:
-        return
+def _lane_ratios(ex: list[str], pattern: _Pattern, cost: int) -> Iterator[np.ndarray]:
+    """Ratios of prepared rows ex against the pattern's lanes, in row
+    blocks; the recurrence runs once per row. Neither side is empty."""
     import numpy as np
-    gt_len = np.array([len(t) for t in gx], dtype=np.int64)
-    lanes, full, starts, masks = _pack(gx)
-    nbytes = (lanes.pop() + 7) // 8  # the last entry is the total bit count
+    offsets = [at for at, _, _ in pattern.spans]
+    gt_len = np.array([n for _, _, n in pattern.spans], dtype=np.int64)
+    nbytes = (len(pattern.text) + 8) // 8  # every lane and its guard bit
     per_row = 1 if cost == 2 else 2  # the vectors _deltas returns
     step = max(1, _BLOCK_BITS // (8 * per_row * nbytes))
     for lo in range(0, len(ex), step):
         rows = ex[lo:lo + step]
         # the vectors of each row in turn: one popcount pass per block
         ones = _lane_ones([v for t in rows for v in _deltas(
-            t, masks, full, starts, cost)], nbytes, lanes)
+            t, pattern.masks, pattern.full, pattern.starts, cost)], nbytes, offsets)
         ex_len = np.array([len(t) for t in rows], dtype=np.int64)[:, None]
         if cost == 2:
             dist = ex_len - gt_len + 2 * ones
@@ -279,9 +280,9 @@ def _lane_ones(vectors: list[int], nbytes: int, lanes: list[int]) -> np.ndarray:
     return np.add.reduceat(bits, lanes, axis=1, dtype=np.int64)
 
 
-def _lane_hits(ex: list[str], gx: list[str], config: MatchConfig) -> list[int]:
-    """For each prepared row of ex, the lanes of gx it reaches the threshold
-    against, as a bitmask: bit j for gx[j]. Neither side is empty.
+def _lane_hits(ex: TokenSequence, pattern: _Pattern, config: MatchConfig) -> list[int]:
+    """For each prepared row of ex, the pattern's lanes it reaches the
+    threshold against, as a bitmask: bit j for lane j. Neither side is empty.
 
     Below _SMALL_CELLS rows x lanes, each lane's distance is read from the
     row's vectors with a popcount of the lane's bits. Those are the integers
@@ -291,18 +292,17 @@ def _lane_hits(ex: list[str], gx: list[str], config: MatchConfig) -> list[int]:
     faster.
     """
     threshold, cost = config.threshold, config.substitution_cost
-    if len(ex) * len(gx) >= _SMALL_CELLS:
+    if len(ex) * len(pattern.spans) >= _SMALL_CELLS:
         import numpy as np
         hits = []
-        for block in _lane_ratios(ex, gx, cost):
+        for block in _lane_ratios(ex, pattern, cost):
             packed = np.packbits(block >= threshold, axis=1, bitorder="little")
             width, raw = packed.shape[1], packed.tobytes()
             hits += [int.from_bytes(raw[at:at + width], "little")
                      for at in range(0, len(raw), width)]
         return hits
-    lanes, full, starts, masks = _pack(gx)
-    # (first bit, bit mask, length) of each lane, the last lane first
-    spans = [(at, (1 << len(t)) - 1, len(t)) for at, t in zip(lanes, gx)][::-1]
+    masks, full, starts = pattern.masks, pattern.full, pattern.starts
+    spans = pattern.spans[::-1]  # the last lane first: its bit ends up highest
     hits = []
     for text in ex:
         size, hit = len(text), 0
@@ -322,10 +322,12 @@ def _lane_hits(ex: list[str], gx: list[str], config: MatchConfig) -> list[int]:
 
 
 def _qualified_texts(rows: TokenSequence, lanes: TokenSequence, config: MatchConfig,
-                     columns: bool = True) -> tuple[list[str], list[str], set[str]]:
-    """The prepared rows and lanes, and the set of their texts that qualify:
-    a row text that reaches the threshold against some lane and, with
-    columns, a lane text that reaches it against some row.
+                     columns: bool = True
+                     ) -> tuple[TokenSequence, TokenSequence, set[str], _Pattern | None]:
+    """The prepared rows and lanes, the set of their texts that qualify (a
+    row text that reaches the threshold against some lane and, with
+    columns, a lane text that reaches it against some row), and the lanes'
+    pattern if the kernel ran.
 
     A row text equal to a lane text (a twin) qualifies with no kernel call.
     The kernel runs once against every lane in order: each lead row (a
@@ -334,10 +336,10 @@ def _qualified_texts(rows: TokenSequence, lanes: TokenSequence, config: MatchCon
     or each lone lane text trails and is read at the twins' lanes (the ratio
     is symmetric). So no more rows run than there are distinct row texts.
     Under a case-sensitive config without NFC, preparing is the identity, so
-    rows and lanes are copied as they are.
+    rows and lanes are returned as they are.
     """
     if config.case_sensitive and not config.normalize_nfc:
-        rx, lx = list(rows), list(lanes)
+        rx, lx = rows, lanes
     else:
         rx = [_prepare(t, config) for t in rows]
         lx = [_prepare(t, config) for t in lanes]
@@ -348,19 +350,22 @@ def _qualified_texts(rows: TokenSequence, lanes: TokenSequence, config: MatchCon
     lead = len(kernel_rows)
     kernel_rows += lone_lanes if read_lanes else []
     if not kernel_rows or not lx:
-        return rx, lx, found
-    hits = _lane_hits(kernel_rows, lx, config)
-    good = [hit != 0 for hit in hits[:lead]]
-    if columns:  # trailing rows read at the twins' lanes, before lanes are marked
-        twins = int("".join("1" if t in found else "0" for t in reversed(lx)), 2)
-        good += [hit & twins != 0 for hit in hits[lead:]]
-        reached = 0
+        return rx, lx, found, None
+    pattern = _Pattern(lx)
+    hits = _lane_hits(kernel_rows, pattern, config)
+    qualified = [t for t, hit in zip(kernel_rows, hits[:lead]) if hit]
+    if columns:  # the lanes the lead rows reach; trailing rows read the twins'
+        reached = twins = 0
         for hit in hits[:lead]:
             reached |= hit
-        # bin's digits, least significant first, are the lanes in order
-        found.update(t for t, bit in zip(lx, reversed(bin(reached))) if bit == "1")
-    found.update(t for t, g in zip(kernel_rows, good) if g)
-    return rx, lx, found
+        for j, t in enumerate(lx):
+            if t in found:
+                twins |= 1 << j
+            elif reached >> j & 1:
+                qualified.append(t)
+        qualified += [t for t, hit in zip(kernel_rows[lead:], hits[lead:]) if hit & twins]
+    found.update(qualified)
+    return rx, lx, found, pattern
 
 
 def _qualifying(matrix: SimilarityMatrix, threshold: float) -> tuple[int, int]:
@@ -421,11 +426,15 @@ def score_document(
     tokens = getattr(extracted, "tokens", extracted)
     if tokens and tuple(tokens) == tuple(gt_tokens):
         return DocumentScores(1.0, 1.0, 1.0, 1.0, len(tokens), len(tokens), ())
-    ex, gx, found = _qualified_texts(tokens, gt_tokens, config)
+    ex, gx, found, pattern = _qualified_texts(tokens, gt_tokens, config)
     m, n = len(ex), len(gx)
     p = min(1.0, sum(t in found for t in ex) / m) if m else 0.0
     r = min(1.0, sum(t in found for t in gx) / n) if n else 0.0
-    acc = accuracy(collate(tokens), collate(gt_tokens), config)
+    # the pattern read as one lane: casefold maps each character alone and
+    # NFC composes nothing with a space, so collating commutes with preparing
+    text, pattern = collate(ex), pattern or _Pattern(gx)
+    distance = _distance(text, pattern.text, pattern.masks, config.substitution_cost)
+    acc = 1.0 - distance / (len(text) + len(pattern.text) or 1)
     flags = []
     if m == 0:
         flags.append(EMPTY_EXTRACTION)

@@ -132,10 +132,10 @@ def journal_reference(path) -> tuple:
     Blank lines are skipped. The first header counts; a later header with
     another config raises ValueError, and a repeat of it is one "repeated
     header" warning. A unit record has doc, page, label, status, p, r, f1,
-    acc, m and n: page, m and n pass int(), the scores float(), doc must be
-    truthy, page >= 0, and doc, label and status hashable. Any other line is
-    one "malformed" warning, and a record whose (doc, page, label) was
-    already read is one "repeated unit" warning. records are
+    acc, m and n: page, m and n pass int(), the scores float() into [0, 1],
+    doc must be truthy, page >= 0, and doc, label and status hashable. Any
+    other line is one "malformed" warning, and a record whose (doc, page,
+    label) was already read is one "repeated unit" warning. records are
     (doc, page, label, status, p, r, f1, acc, m, n) tuples in file order.
     """
     header = None
@@ -169,6 +169,8 @@ def journal_reference(path) -> tuple:
             hash(record[:4])
             if not record[0] or record[1] < 0:
                 raise ValueError("empty doc or negative page")
+            if not all(0.0 <= score <= 1.0 for score in record[4:8]):
+                raise ValueError("a score outside [0, 1]")
         except (KeyError, TypeError, ValueError):
             warnings["malformed"] += 1
             continue

@@ -6,6 +6,7 @@ from __future__ import annotations
 import errno
 import json
 import os
+import re
 import shutil
 import stat
 import subprocess
@@ -163,6 +164,36 @@ def test_report_skips_record_missing_a_field(golden_dir: Path, tmp_path: Path):
     assert "malformed journal line 2" in proc.stderr
     # the other paragraph unit is still counted
     assert "\npartial,paragraph,1,1," in proc.stdout
+
+
+def test_report_and_chart_skip_scores_outside_the_unit_interval(golden_dir: Path,
+                                                               tmp_path: Path):
+    # Scores that overflow a sum, cancel to NaN in one, read as 10.00, or
+    # are NaN: each line is malformed, and the outputs equal the golden
+    # journal's.
+    golden = golden_dir / "expected" / "partial.jsonl"
+    lines = golden.read_text(encoding="utf-8").splitlines()
+    edits = [("f1", "1e308"), ("f1", "1e308"), ("p", "Infinity"),
+             ("p", "-Infinity"), ("p", "9.999999"), ("p", "NaN"),
+             ("acc", "1.000001"), ("r", "-0.500000")]
+    for page, (field, value) in enumerate(edits):
+        line = lines[1].replace('"page":0', f'"page":{page + 7}')
+        lines.append(re.sub(f'"{field}":[^,]*', f'"{field}":{value}', line))
+    journal = tmp_path / "scores.jsonl"
+    journal.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    chart = tmp_path / "chart.svg"
+    for args in (["report"], ["report", "--format", "json"],
+                 ["chart", "--metric", "f1", "--out", str(chart)]):
+        outputs = []
+        for path in (golden, journal):
+            proc = _run(*args, "--journal", str(path))
+            assert proc.returncode == 0, proc.stderr
+            assert "Traceback" not in proc.stderr
+            outputs.append(chart.read_bytes() if args[0] == "chart" else proc.stdout)
+        for line_no in range(len(lines) - len(edits) + 1, len(lines) + 1):
+            assert proc.stderr.count(f"malformed journal line {line_no}\n") == 1
+        assert proc.stderr.count("malformed") == len(edits)
+        assert outputs[0] == outputs[1]
 
 
 def test_index_command(golden_dir: Path, tmp_path: Path):

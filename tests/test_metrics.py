@@ -189,13 +189,11 @@ def test_masks_build_in_linear_time_and_bounded_memory():
     assert len(text) == 400_000
     best = float("inf")
     for _ in range(3):
-        metrics._masks.cache_clear()
         started = time.perf_counter()
         metrics._masks(text)
         best = min(best, time.perf_counter() - started)
     assert best < 0.2, f"masks of 400K characters took {best:.3f} s"
     # temporaries stay bounded: the code points and one block of bools
-    metrics._masks.cache_clear()
     tracemalloc.start()
     try:
         masks = metrics._masks(text)
@@ -204,7 +202,6 @@ def test_masks_build_in_linear_time_and_bounded_memory():
         tracemalloc.stop()
     size = sum(sys.getsizeof(mask) for mask in masks.values())
     assert peak < 2 * size, (peak, size)
-    metrics._masks.cache_clear()
 
 
 def test_matrix_entries_equal_pairwise_recomputation():
@@ -395,18 +392,31 @@ def test_matrix_hands_one_vector_per_row_at_cost_2(monkeypatch):
         assert sum(handed) == per_row * len(extracted)
 
 
-def test_score_document_builds_ground_truth_masks_once():
-    # the matrix's lanes and the accuracy's pattern are one mask table
+def _mask_builds(monkeypatch) -> list[str]:
+    """Patch _masks to record the text of each mask table built."""
+    built = []
+    masks = metrics._masks
+
+    def recording(text):
+        built.append(text)
+        return masks(text)
+
+    monkeypatch.setattr(metrics, "_masks", recording)
+    return built
+
+
+def test_score_document_builds_ground_truth_masks_once(monkeypatch):
+    # the kernel's lanes and the accuracy's pattern are one mask table
+    built = _mask_builds(monkeypatch)
     rng = random.Random(1999)
     gt = [_random_word(rng, 8) + "#" for _ in range(40)]
     extracted = gt[:30] + ["noise"]
-    metrics._masks.cache_clear()
     score_document(extracted, gt)
-    info = metrics._masks.cache_info()
-    assert (info.misses, info.hits) == (1, 1)
+    assert built == [collate(gt)]
 
 
-def test_accuracy_matches_reference_under_casefold_and_nfc():
+def test_accuracy_matches_reference_under_casefold_and_nfc(monkeypatch):
+    built = _mask_builds(monkeypatch)
     rng = random.Random(2001)
     missed = 0
     for _ in range(120):
@@ -419,10 +429,10 @@ def test_accuracy_matches_reference_under_casefold_and_nfc():
                                  normalize_nfc=True)
             expected = ratio_reference(_prepared(a), _prepared(b), cost)
             assert score_document(extracted, gt, config).accuracy == expected
-            # the extraction as the pattern: not the masks the matrix built
-            before = metrics._masks.cache_info().misses
+            # the extraction as the pattern: not the masks the kernel built
+            built.clear()
             assert accuracy(b, a, config) == expected
-            missed += metrics._masks.cache_info().misses - before
+            missed += len(built)
     assert missed > 0
 
 
@@ -623,6 +633,7 @@ def test_exact_extraction_scores_one_with_no_kernel_or_masks(monkeypatch):
 
     monkeypatch.setattr(metrics, "_lane_hits", refuse)
     monkeypatch.setattr(metrics, "_qualified_texts", counting)
+    built = _mask_builds(monkeypatch)
     rng = random.Random(2022)
     units = [["Deep", "of", "Deep", "Deep"], ["", "a", ""],
              ["\U0001d400x", "\U0001f600", "\u00e9"], ["Parsing"]]
@@ -638,9 +649,8 @@ def test_exact_extraction_scores_one_with_no_kernel_or_masks(monkeypatch):
                     p, r, f, _, _ = prf_bruteforce(
                         matrix_reference(prepared, prepared, cost), threshold)
                     acc = accuracy_reference(prepared, prepared, cost)
-                    metrics._masks.cache_clear()
                     scores = score_document(list(tokens), tuple(tokens), config)
-                    assert metrics._masks.cache_info().misses == 0
+                    assert built == []
                     m = len(tokens)
                     assert scores == (p, r, f, acc, m, m, ()), (tokens, config)
     assert counted == []
@@ -703,3 +713,88 @@ def test_score_document_matches_oracles_across_row_blocks(monkeypatch, cost: int
     assert len(blocks) >= 3 and set(blocks[:-1]) == {step}
     assert sum(blocks) == len(lone_ex) + len(lone_gt)
     assert (len(lone_ex) % step != 0) == inside
+
+
+def _fuzz_token(rng: random.Random, inner_space: bool) -> str:
+    """A token of FOLD_ALPHABET letters, often empty or one letter; a
+    ground-truth token may hold a space inside, never at an end."""
+    word = _fold_word(rng, rng.choice((0, 1, 1, 2, 3, 4, 6)))
+    if inner_space and len(word) >= 2 and rng.random() < 0.15:
+        at = rng.randrange(1, len(word))
+        word = word[:at] + " " + word[at:]
+    return word
+
+
+def _fuzz_unit(rng: random.Random, wide: bool) -> tuple[list[str], list[str]]:
+    """Ground truth and an extraction of it: twins, spellings equal once
+    prepared, near misses, noise and duplicates; sometimes exact or empty."""
+    count = rng.randint(9, 16) if wide else rng.randint(0, 6)
+    gt = [_fuzz_token(rng, True) for _ in range(count)]
+    gt += rng.choices(gt, k=rng.randint(0, 2)) if gt else []
+    shape = rng.randrange(8)
+    if shape == 0:
+        return list(gt), gt
+    if shape == 1:
+        return [], gt
+    extracted = []
+    for word in gt:
+        roll = rng.random()
+        if roll < 0.4:
+            extracted.append(_variant(rng, word))
+        elif roll < 0.7 and word:
+            at = rng.randrange(len(word))
+            extracted.append(word[:at] + rng.choice(FOLD_ALPHABET) + word[at + 1:])
+        elif roll < 0.9:
+            extracted.append(_fuzz_token(rng, False))
+    extracted += rng.choices(extracted, k=rng.randint(0, 2)) if extracted else []
+    rng.shuffle(extracted)
+    return extracted, gt
+
+
+def test_score_document_matches_oracles_on_random_short_units(monkeypatch):
+    # Every score, count and flag against the textbook oracles, the
+    # accuracy over the whole prepared collated texts. Some units run the
+    # numpy regime of the kernel, most the popcount one.
+    regimes = {"numpy": 0, "popcount": 0}
+    lane_hits, lane_ratios = metrics._lane_hits, metrics._lane_ratios
+
+    def counting_hits(ex, pattern, config):
+        regimes["popcount"] += 1
+        return lane_hits(ex, pattern, config)
+
+    def counting_ratios(ex, pattern, cost):
+        regimes["numpy"] += 1
+        regimes["popcount"] -= 1
+        return lane_ratios(ex, pattern, cost)
+
+    monkeypatch.setattr(metrics, "_lane_hits", counting_hits)
+    monkeypatch.setattr(metrics, "_lane_ratios", counting_ratios)
+    rng = random.Random(2004)
+    met = set()
+    for case in range(2400):
+        fold, nfc = rng.random() < 0.4, rng.random() < 0.4
+        config = MatchConfig(threshold=rng.choice((0.0, 0.7, 1.0)),
+                             substitution_cost=rng.choice((1, 2)),
+                             case_sensitive=not fold, normalize_nfc=nfc)
+
+        def prepare(text: str) -> str:
+            text = text.casefold() if fold else text
+            return unicodedata.normalize("NFC", text) if nfc else text
+
+        extracted, gt = _fuzz_unit(rng, rng.random() < 0.1)
+        cost = config.substitution_cost
+        ex_p, gt_p = [prepare(t) for t in extracted], [prepare(t) for t in gt]
+        p, r, f, _, _ = prf_bruteforce(matrix_reference(ex_p, gt_p, cost),
+                                       config.threshold)
+        acc = accuracy_reference([prepare(collate(extracted))],
+                                 [prepare(collate(gt))], cost)
+        flags = ((EMPTY_EXTRACTION,) if not extracted else ()) + (
+            (EMPTY_GROUND_TRUTH,) if not gt else ())
+        expected = (p, r, f, acc, len(extracted), len(gt), flags)
+        assert score_document(extracted, gt, config) == expected, \
+            (case, extracted, gt, config)
+        met.add((fold, nfc, cost, config.threshold))
+        met.update(("inner space",) for t in gt if " " in t)
+        met.update(("outside the BMP",) for t in gt + extracted if max(t, default="") > "\uffff")
+    assert len(met) == 2 * 2 * 2 * 3 + 2
+    assert regimes["numpy"] > 50 and regimes["popcount"] > 500, regimes

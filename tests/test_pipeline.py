@@ -555,6 +555,8 @@ def _line_variants(line: bytes) -> list[bytes]:
     changes = [("m", "5"), ("m", True), ("m", 2.5), ("m", float("nan")),
                ("p", "0.5"), ("p", False), ("p", float("nan")),
                ("f1", "NaN"), ("acc", float("inf")), ("r", None),
+               ("p", 9.999999), ("f1", 1e308), ("acc", -0.5),
+               ("r", float("-inf")),
                ("page", "1"), ("page", True), ("page", 1.5), ("page", -1),
                ("page", "x"), ("doc", ""), ("doc", 7), ("doc", None),
                ("doc", ["x"]), ("label", ["x"]), ("status", {}),
@@ -566,8 +568,8 @@ def _line_variants(line: bytes) -> list[bytes]:
     # control character, Arabic-Indic digits and an empty label.
     score = re.compile(rb'"p":[^,]*')
     variants += [score.sub(b'"p":' + value, line) for value in
-                 (b"1.0", b"1e0", b"0.5000000", b"-0.000000",
-                  "٠.٥٠٠٠٠٠".encode())]
+                 (b"1.0", b"1e0", b"0.5000000", b"-0.000000", b"9.999999",
+                  b"1.000001", b"NaN", b"Infinity", "٠.٥٠٠٠٠٠".encode())]
     variants += [line.replace(b'","page":', end + b'","page":')
                  for end in (b'\\"', b"\\u00e9", b"\t")]
     variants += [line.replace(b'":', b'": ', 1), line[:-1] + b',"x":1}',

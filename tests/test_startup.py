@@ -42,11 +42,11 @@ def test_import_leaves_numpy_unloaded_until_a_unit_needs_it():
         "loaded = ['numpy' in sys.modules]\n"
         "lanes = [f'g{j}' for j in range(14)]\n"
         "cut = metrics._SMALL_CELLS\n"
-        "metrics._lane_hits([f'r{i}' for i in range(cut // 14 - 1)], lanes,\n"
-        "                   metrics.DEFAULT_MATCH)\n"
+        "metrics._lane_hits([f'r{i}' for i in range(cut // 14 - 1)],\n"
+        "                   metrics._Pattern(lanes), metrics.DEFAULT_MATCH)\n"
         "loaded.append('numpy' in sys.modules)\n"
-        "metrics._lane_hits([f'r{i}' for i in range(cut // 14)], lanes,\n"
-        "                   metrics.DEFAULT_MATCH)\n"
+        "metrics._lane_hits([f'r{i}' for i in range(cut // 14)],\n"
+        "                   metrics._Pattern(lanes), metrics.DEFAULT_MATCH)\n"
         "loaded.append('numpy' in sys.modules)\n"
         "print(loaded)\n")
     assert metrics._SMALL_CELLS % 14 == 0
