@@ -109,6 +109,12 @@ class GroundTruthPage:
 
 def _parse_coordinate(raw: str, name: str, line_no: int) -> tuple[int, ParseIssue | None]:
     raw = raw.strip()
+    # ASCII alone: int() and float() read every Unicode decimal digit, and
+    # which those are follows the interpreter's Unicode tables (U+16AC1,
+    # TANGSA DIGIT ONE, from 14.0 on), so a line would parse on one Python
+    # and be malformed on another
+    if not raw.isascii():
+        raise MalformedRecord(f"non-numeric {name}: {raw!r}", line_no)
     try:
         return int(raw), None
     except ValueError:
@@ -157,6 +163,8 @@ def parse_gt_record(
         raise MalformedRecord(f"inverted bbox ({x0},{y0},{x1},{y1})", line_no)
     for raw, name in zip(fields[5:8], ("R", "G", "B")):
         try:
+            if not raw.strip().isascii():  # as _parse_coordinate says
+                raise ValueError(raw)
             channel = int(raw.strip())
         except ValueError:
             raise MalformedRecord(f"non-integer {name}: {raw!r}",

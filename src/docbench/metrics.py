@@ -47,6 +47,15 @@ _MASKS_CUTOFF = 384
 # VM, Python 3.11, numpy 2.4).
 _SMALL_CELLS = 126
 
+# One-pass kernel rows x lanes from which a unit whose lone lanes trail runs
+# its lead rows against the lone lanes alone first (_qualified_texts).
+# Below it the second pattern and pass cost more than the narrower rows
+# save: score_document on perturbed units of 40-250 tokens, the narrow pass
+# forced on over off, took 1.05x at ~650 cells, 1.00x at ~4200 and 0.89x at
+# ~15000 at cost 2; at cost 1 it breaks even near 1600 (2-core x86-64 VM,
+# Python 3.11, numpy 2.4).
+_SPLIT_CELLS = 4000
+
 TokenSequence = Sequence[str]
 
 
@@ -334,9 +343,21 @@ def _qualified_texts(rows: TokenSequence, lanes: TokenSequence, config: MatchCon
     distinct row text) qualifies, with the lanes it reaches, when it reaches
     some lane. The cheaper exact pass settles the lanes: the twins lead too,
     or each lone lane text trails and is read at the twins' lanes (the ratio
-    is symmetric). So no more rows run than there are distinct row texts.
-    Under a case-sensitive config without NFC, preparing is the identity, so
-    rows and lanes are returned as they are.
+    is symmetric). So no more rows run against every lane than there are
+    distinct row texts.
+
+    Where lone lanes trail, there are no more lead rows than lone lanes and
+    that pass would cover _SPLIT_CELLS rows x lanes, the lead rows first
+    meet the distinct lone lanes alone, a narrow pattern: a lead row that
+    reaches one qualifies, and so does each lone lane one reaches. Only the
+    lead rows that reached none and the lone lanes that none reached go on
+    to the full-width pass, which reads them as above. A near miss of a
+    lost token tends to reach that token, so most lead rows settle in the
+    narrow pass; with more lead rows than lone lanes, junk and split pieces
+    make up much of them and the narrow pass would mostly miss.
+
+    Under a case-sensitive config without NFC, preparing is the identity,
+    so rows and lanes are returned as they are.
     """
     if config.case_sensitive and not config.normalize_nfc:
         rx, lx = rows, lanes
@@ -351,9 +372,23 @@ def _qualified_texts(rows: TokenSequence, lanes: TokenSequence, config: MatchCon
     kernel_rows += lone_lanes if read_lanes else []
     if not kernel_rows or not lx:
         return rx, lx, found, None
-    pattern = _Pattern(lx)
+    pattern, qualified = _Pattern(lx), []
+    if read_lanes and 0 < lead <= len(lone_lanes) and (
+            len(kernel_rows) * len(lx) >= _SPLIT_CELLS):
+        hits = _lane_hits(kernel_rows[:lead], _Pattern(lone_lanes), config)
+        reached, rest = 0, []
+        for t, hit in zip(kernel_rows, hits):
+            reached |= hit
+            (qualified if hit else rest).append(t)
+        lead = len(rest)
+        for j, t in enumerate(lone_lanes):
+            (qualified if reached >> j & 1 else rest).append(t)
+        if not rest:
+            found.update(qualified)
+            return rx, lx, found, pattern
+        kernel_rows = rest
     hits = _lane_hits(kernel_rows, pattern, config)
-    qualified = [t for t, hit in zip(kernel_rows, hits[:lead]) if hit]
+    qualified += [t for t, hit in zip(kernel_rows, hits[:lead]) if hit]
     if columns:  # the lanes the lead rows reach; trailing rows read the twins'
         reached = twins = 0
         for hit in hits[:lead]:

@@ -205,6 +205,8 @@ def _gt_line_reference(line: str, vocabulary, line_no: int, nfc: bool) -> tuple:
     box = []
     for position, name in ((1, "x0"), (2, "y0"), (3, "x1"), (4, "y1")):
         raw = fields[position].strip()
+        if any(ord(char) > 127 for char in raw):
+            raise malformed(f"non-numeric {name}: {raw!r}")
         try:
             box.append(int(raw))
             continue
@@ -224,6 +226,8 @@ def _gt_line_reference(line: str, vocabulary, line_no: int, nfc: bool) -> tuple:
         raise malformed(f"inverted bbox ({x0},{y0},{x1},{y1})")
     for position, name in ((5, "R"), (6, "G"), (7, "B")):
         raw = fields[position]
+        if any(ord(char) > 127 for char in raw.strip()):
+            raise malformed(f"non-integer {name}: {raw!r}")
         try:
             channel = int(raw.strip())
         except ValueError:
@@ -246,8 +250,10 @@ def gt_page_reference(data: bytes, vocabulary, nfc: bool = False) -> tuple:
     0), then per line either the first broken rule or its fractional
     coordinates. Lines are split on "\n" only and blank lines skipped. A
     coordinate is an int, or a finite float truncated toward zero with a
-    warning; nan and inf are malformed. strict_error is (exception type
-    name, message) of the first problem, what strict mode raises, or None.
+    warning; nan and inf are malformed. Numbers are ASCII: a code point
+    above 127 left after stripping makes the line malformed. strict_error
+    is (exception type name, message) of the first problem, what strict
+    mode raises, or None.
     """
     texts = {}
     issues = []

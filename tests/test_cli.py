@@ -693,6 +693,20 @@ def test_validate_gt_findings(tmp_path: Path):
             "'unkeyed.txt'") in proc.stdout.splitlines()
 
 
+def test_validate_finds_non_ascii_ground_truth_numbers(tmp_path: Path,
+                                                      non_ascii_numbers):
+    root = tmp_path / "gt"
+    root.mkdir()
+    lines, messages = non_ascii_numbers
+    page = root / "1401.0001_0.txt"
+    page.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    proc = _run("validate", "--gt-root", str(root))
+    assert proc.returncode == 3
+    assert proc.stdout.splitlines() == [
+        f"[FINDING] {page}:{line_no}: [malformed] {message}"
+        for line_no, message in enumerate(messages, start=1)] + ["[INFO] 14 findings"]
+
+
 def test_validate_extra_labels_widen_the_vocabulary(tmp_path: Path):
     # the vocabulary index and eval accept with the same --extra-labels
     root = tmp_path / "gt"

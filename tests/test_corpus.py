@@ -80,6 +80,22 @@ def test_parse_gt_page_skips_non_finite_coordinates(tmp_path: Path):
     assert excinfo.value.line_no == 2
 
 
+def test_ground_truth_numbers_are_ascii(tmp_path: Path, non_ascii_numbers):
+    # int() reads "\u0661" as 1 on every Python; the line is malformed anyway
+    assert int("\u0661") == 1
+    path = tmp_path / "1401.0007_0.txt"
+    lines, messages = non_ascii_numbers
+    path.write_text("\n".join([GOOD_LINE, *lines]) + "\n", encoding="utf-8")
+    page = parse_gt_page(path)
+    assert page.texts == {"title": ("Transformers",)}
+    assert [(i.line_no, i.kind, i.message) for i in page.issues] == [
+        (line_no, "malformed", message)
+        for line_no, message in enumerate(messages, start=2)]
+    for line, message in zip(lines, messages):
+        with pytest.raises(MalformedRecord, match=message):
+            parse_gt_record(line, DEFAULT_LABELS, 1)
+
+
 def test_parse_record_unknown_label():
     line = "w\t1\t2\t3\t4\t0\t0\t0\tf\tmystery"
     with pytest.raises(UnknownLabel) as excinfo:

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import functools
+import itertools
 import random
 import sys
 import time
@@ -15,6 +17,7 @@ from docbench.metrics import (DEFAULT_MATCH, EMPTY_EXTRACTION,
                               collate, edit_distance, f1, lev_ratio, precision,
                               recall, score_document, similarity_matrix)
 
+import oracles
 from oracles import (accuracy_reference, distance_full_table, distance_via_lcs,
                      matrix_reference, prf_bruteforce, ratio_reference)
 
@@ -413,6 +416,15 @@ def test_score_document_builds_ground_truth_masks_once(monkeypatch):
     extracted = gt[:30] + ["noise"]
     score_document(extracted, gt)
     assert built == [collate(gt)]
+    # above _SPLIT_CELLS the lone lanes' text gets its own, narrower table
+    built.clear()
+    gt, extracted, _ = _split_unit()
+    score_document(extracted, gt)
+    assert built == [collate(gt), collate(gt[90:])]
+    # but not with more lead rows (16 + 20) than lone lanes (30)
+    built.clear()
+    score_document(extracted + [f"junk{i}" for i in range(20)], gt)
+    assert built == [collate(gt)]
 
 
 def test_accuracy_matches_reference_under_casefold_and_nfc(monkeypatch):
@@ -579,6 +591,18 @@ def test_small_unit_runs_no_numpy_kernel(monkeypatch):
     assert passes == []
 
 
+def _split_unit() -> tuple[list[str], list[str], list[str]]:
+    """A unit above _SPLIT_CELLS: 120 distinct ground-truth tokens, the
+    first 90 extracted exactly, and the lead rows: near misses of the first
+    8 lone tokens, then of 4 twins, then 4 rows of noise. Returns the
+    ground truth, the extraction and the lead rows."""
+    rng = random.Random(2031)
+    gt = [f"{_random_word(rng, 8)}#{i}" for i in range(120)]
+    lead = [t + "%" for t in gt[90:98] + gt[:4]] + [f"noise{i}" for i in range(4)]
+    assert (len(lead) + 30) * len(gt) >= metrics._SPLIT_CELLS
+    return gt, gt[:90] + lead, lead
+
+
 def test_kernel_runs_only_for_tokens_without_an_exact_twin(monkeypatch):
     texts = []
     deltas = metrics._deltas
@@ -614,6 +638,15 @@ def test_kernel_runs_only_for_tokens_without_an_exact_twin(monkeypatch):
     extracted = gt[:5] + ["noise"]
     score_document(extracted, gt)
     assert sorted(texts) == sorted(["noise", *gt[:5], collate(extracted)])
+    texts.clear()
+    # above _SPLIT_CELLS: each lead row meets the lone lanes once; then only
+    # the lead rows that reached none run against every lane, and the lone
+    # lanes that none reached, read at the twins' lanes
+    gt, extracted, lead = _split_unit()
+    scores = score_document(extracted, gt)
+    # the first eight lead rows are near misses of the first eight lone lanes
+    assert texts == [*lead, *lead[8:], *gt[98:], collate(extracted)]
+    assert (scores.precision, scores.recall) == ((90 + 12) / 106, (90 + 8) / 120)
 
 
 def test_exact_extraction_scores_one_with_no_kernel_or_masks(monkeypatch):
@@ -798,3 +831,140 @@ def test_score_document_matches_oracles_on_random_short_units(monkeypatch):
         met.update(("outside the BMP",) for t in gt + extracted if max(t, default="") > "\uffff")
     assert len(met) == 2 * 2 * 2 * 3 + 2
     assert regimes["numpy"] > 50 and regimes["popcount"] > 500, regimes
+
+
+def _swap(rng: random.Random, word: str, count: int, letters: str) -> str:
+    """word with count of its positions replaced by other letters."""
+    chars = list(word)
+    for at in rng.sample(range(len(chars)), min(count, len(chars))):
+        chars[at] = rng.choice([c for c in letters if c != chars[at]])
+    return "".join(chars)
+
+
+def _paragraph_vocabulary(rng: random.Random) -> tuple[list[str], dict[str, list[str]]]:
+    """Words of 1-12 letters, some outside the BMP or folding, one empty,
+    and a sibling two letters away from each word of 8 or more; and for
+    each word the fixed spellings an extraction may give it: one or three
+    letters substituted (three in a word of 5 or 10 letters ties the
+    threshold 0.7 at cost 1 or 2), a case or NFD variant, a junk row, the
+    word merged with another, and its two halves. Units share them, so the
+    oracle's ratios repeat."""
+    letters = ALPHABET[:24] + "\U0001d400\U0001f600éß"
+    words = list(dict.fromkeys(
+        "".join(rng.choice(letters) for _ in range(1 + i % 12)) for i in range(18)))
+    words += [_swap(rng, word, 2, letters) for word in words if len(word) >= 8]
+    words.append("")
+    spellings = {}
+    for word in words:
+        forms = [_swap(rng, word, 1, letters), _swap(rng, word, 3, letters),
+                 _variant(rng, word), _swap(rng, word, 2, "yz"),
+                 word + rng.choice(words)] if word else []
+        if len(word) >= 2:
+            cut = rng.randrange(1, len(word))
+            forms += [word[:cut], word[cut:]]
+        spellings[word] = forms
+    return words, spellings
+
+
+def _paragraph_unit(rng: random.Random, words: list[str],
+                    spellings: dict[str, list[str]],
+                    steady: bool) -> tuple[list[str], list[str]]:
+    """120-300 ground-truth tokens over some of words, and an extraction:
+    twins; lost words, whose copies are respelled, merged or dropped, all
+    dropped (gone) or all three letters away (far, so a far word reaches
+    its gone sibling and no row does); respelled, merged and split copies
+    of kept words; junk rows and duplicates. A steady unit keeps its kept
+    words and gives each lost word one fate, its halves or one spelling, so
+    it has no more distinct rows without a twin than lost words."""
+    chosen = rng.sample(words, rng.randint(12, len(words)))
+    gt = rng.choices(chosen, k=round(rng.triangular(120, 300, 120)))
+    lost = rng.sample(chosen, rng.randint(0, len(chosen) * 3 // 5))
+    gone, far = set(lost[:len(lost) // 3]), set(lost[len(lost) // 3:len(lost) * 2 // 3])
+    noise = 0.0 if steady else rng.choice((0.0, 0.05, 0.25))
+    fate = {word: rng.choice((spellings[word][-2:], [rng.choice(spellings[word][:5])]))
+            for word in lost if spellings[word]}
+    extracted: list[str] = []
+    for word in gt:
+        roll = rng.random()
+        if word not in lost and roll >= noise:
+            extracted.append(word)
+        elif roll < 0.2 or word in gone or not spellings[word]:
+            continue  # dropped
+        elif steady:
+            extracted += [spellings[word][1]] if word in far else fate[word]
+        elif roll < 0.35:
+            extracted += spellings[word][-2:]  # split, or merged when short
+        else:
+            extracted.append(spellings[word][1] if word in far
+                             else rng.choice(spellings[word][:5]))
+    extracted += rng.choices(extracted, k=rng.randint(0, 10)) if extracted else []
+    rng.shuffle(extracted)
+    return extracted, gt
+
+
+def _takes_narrow_pass(ex: list[str], gt: list[str]) -> bool:
+    """Whether the prepared unit's lone lanes trail, it has some lead rows
+    and no more of them than lone lanes, and its one-pass kernel would cover
+    _SPLIT_CELLS."""
+    twins = set(ex) & set(gt)
+    lone_lanes = set(gt) - twins
+    lead = set(ex) - twins
+    return (len(lone_lanes) < len(twins) and 0 < len(lead) <= len(lone_lanes)
+            and (len(lead) + len(lone_lanes)) * len(gt) >= metrics._SPLIT_CELLS)
+
+
+def test_score_document_matches_oracles_on_paragraph_sized_units(monkeypatch):
+    # Units of 120-300 tokens on both sides of the crossover, against the
+    # textbook oracles. The crossover is pinned below _SPLIT_CELLS, so the
+    # small vocabulary's units reach it whatever the tuned value. Each unit
+    # builds one _Pattern, or two when the lead rows first meet the lone
+    # lanes alone, which only steady units (two blocks of configs in three)
+    # can. The oracle's ratios are cached, since the units share their
+    # words. The accuracy oracle, a full table over the collated texts,
+    # checks the shortest unit that took the narrow pass, and lev_ratio,
+    # which builds its own masks, checks every unit.
+    monkeypatch.setattr(oracles, "ratio_reference",
+                        functools.cache(oracles.ratio_reference))
+    monkeypatch.setattr(metrics, "_SPLIT_CELLS", 1000)
+    builds = []
+    pattern = metrics._Pattern
+
+    def counting(lanes):
+        builds.append(lanes)
+        return pattern(lanes)
+
+    monkeypatch.setattr(metrics, "_Pattern", counting)
+    rng = random.Random(2030)
+    words, spellings = _paragraph_vocabulary(rng)
+    sides = {False: 0, True: 0}
+    met = set()
+    shortest = (sys.maxsize,)
+    for case in range(200):
+        fold, nfc = case % 4 in (1, 3), case % 4 >= 2
+        cost, threshold = 1 + case // 4 % 2, (0.0, 0.7, 1.0)[case // 8 % 3]
+        config = MatchConfig(threshold=threshold, substitution_cost=cost,
+                             case_sensitive=not fold, normalize_nfc=nfc)
+
+        def prepare(text: str) -> str:
+            text = text.casefold() if fold else text
+            return unicodedata.normalize("NFC", text) if nfc else text
+
+        extracted, gt = _paragraph_unit(rng, words, spellings, case // 24 % 3 > 0)
+        ex_p, gt_p = [prepare(t) for t in extracted], [prepare(t) for t in gt]
+        p, r, f, _, _ = prf_bruteforce(matrix_reference(ex_p, gt_p, cost), threshold)
+        builds.clear()
+        scores = score_document(extracted, gt, config)
+        assert scores[:3] == (p, r, f), (case, config)
+        assert scores[4:] == (len(extracted), len(gt), ()), case
+        narrow = _takes_narrow_pass(ex_p, gt_p)
+        assert len(builds) == 1 + narrow, (case, builds)
+        assert scores.accuracy == lev_ratio(collate(extracted), collate(gt), config)
+        if narrow:
+            shortest = min(shortest, (len(collate(gt)), ex_p, gt_p, cost, scores.accuracy))
+        sides[narrow] += 1
+        met.add((fold, nfc, cost, threshold, narrow))
+    assert sides[False] >= 30 and sides[True] >= 30, sides
+    _, ex_p, gt_p, cost, acc = shortest
+    assert acc == accuracy_reference([collate(ex_p)], [collate(gt_p)], cost)
+    assert len(met) == 2 * 2 * 2 * 3 * 2, set(itertools.product(
+        (False, True), (False, True), (1, 2), (0.0, 0.7, 1.0), (False, True))) - met
