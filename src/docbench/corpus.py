@@ -42,8 +42,8 @@ DEFAULT_KEY_PATTERN = r"(?P<doc>\d{4}\.\d{4,5})(?:\D[^\t]*?)?_(?P<page>\d+)\.txt
 GT_FIELD_COUNT = 10
 
 _LABEL_RE = re.compile(r"^[a-z][a-z0-9_-]*$")
-_MONTH_RE = re.compile(r"^\d{4}$")
-_NEW_STYLE_ID_RE = re.compile(r"^(\d{4})\.")
+_MONTH_RE = re.compile(r"\d{4}", re.ASCII)
+_NEW_STYLE_ID_RE = re.compile(r"^(\d{4})\.", re.ASCII)
 
 INDEX_FORMAT_VERSION = 1
 
@@ -59,6 +59,15 @@ def validate_label(label: str) -> str:
     if not _LABEL_RE.match(label):
         raise ConfigError(f"invalid label syntax: {label!r}")
     return label
+
+
+def validate_months(from_month: str, to_month: str) -> None:
+    """Check that a sample range is two ASCII YYMM months in order."""
+    for value in (from_month, to_month):
+        if not _MONTH_RE.fullmatch(value) or not 1 <= int(value[2:]) <= 12:
+            raise ConfigError(f"invalid YYMM month: {value!r}")
+    if from_month > to_month:
+        raise ConfigError(f"month range is inverted: {from_month} > {to_month}")
 
 
 class _PageKeyFields(NamedTuple):
@@ -411,11 +420,7 @@ def sample_by_month(index: CorpusIndex, from_month: str, to_month: str) -> froze
     Document ids that do not follow the new-style arXiv convention
     (four leading digits, then a dot) are excluded with a warning.
     """
-    for value in (from_month, to_month):
-        if not _MONTH_RE.match(value) or not 1 <= int(value[2:]) <= 12:
-            raise ConfigError(f"invalid YYMM month: {value!r}")
-    if from_month > to_month:
-        raise ConfigError(f"month range is inverted: {from_month} > {to_month}")
+    validate_months(from_month, to_month)
     keep: set[PageKey] = set()
     warned: set[str] = set()
     for key in index.entries:

@@ -102,9 +102,10 @@ def read_units(journal: BinaryIO, whole_lines: bool = False,
     """Stream an open journal: its header (None if it has none), then its
     results in file order, those read before the header held until then.
 
-    A line that is not a complete unit record, or has a score outside
-    [0, 1] (NaN too), is skipped with a warning, and so is a repeat of a
-    unit already read: the first line of a unit counts.
+    A line that is not a complete unit record, has a score outside [0, 1]
+    (NaN too) or a name that is not a string (a unit's doc, label or status,
+    a header's tool or config) is skipped with a warning, and so is a
+    repeat of a unit already read: the first line of a unit counts.
     Each result read is stored in seen (a new dict unless given) by its unit
     key, and a unit already in seen counts as read. Each line is decoded on
     its own, so a line cut inside a multi-byte character is one malformed
@@ -145,6 +146,8 @@ def read_units(journal: BinaryIO, whole_lines: bool = False,
                 if end != len(text):
                     raise ValueError("extra data")
                 if isinstance(payload, dict) and payload.get("kind") == "header":
+                    if {type(payload.get(name, "")) for name in ("tool", "config")} != {str}:
+                        raise TypeError("a header's tool or config is not a string")
                     if header is None:
                         header, header_line = payload, line_no
                     elif payload.get("config") != header.get("config"):
@@ -161,6 +164,8 @@ def read_units(journal: BinaryIO, whole_lines: bool = False,
                     payload["doc"], payload["page"], payload["label"],
                     payload["status"], payload["p"], payload["r"],
                     payload["f1"], payload["acc"], payload["m"], payload["n"])
+                if {type(doc), type(label), type(status)} != {str}:
+                    raise TypeError("a doc, label or status that is not a string")
             if scores is None:
                 scores = _new(DocumentScores, (float(p), float(r), float(f1),
                                                float(acc), int(m), int(n), ()))

@@ -9,8 +9,8 @@ independent of the worker count. The parent cuts the index's page plans into
 runs of whole documents as it takes them, so it never holds every plan. With
 one worker, or a plan of one run, it plans and scores one run at a time; with
 more, each run is a pool task, whose worker parses its own ground-truth
-pages, while the parent writes the results, and logs what the workers
-would have logged, in unit order.
+pages. Workers log nothing: a unit's warning comes back just before its
+result, and the parent writes the results and logs the warnings in unit order.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from typing import Container, Iterable, Iterator, Mapping, NamedTuple
 
 from .corpus import (DEFAULT_KEY_PATTERN, DEFAULT_LABELS, CorpusIndex,
                      PageKey, index_corpus, parse_gt_page, sample_by_month,
-                     validate_label)
+                     validate_label, validate_months)
 from .errors import AdapterError, ConfigError, PathTypeError
 from .interchange import (AdapterConfig, ExtractionRecord, read_records,
                           restrict_units)
@@ -62,6 +62,8 @@ class RunConfig:
             validate_label(label)
             if label not in self.vocabulary:
                 raise ConfigError(f"label outside vocabulary: {label!r}")
+        if self.sample is not None:  # before a journal takes its fingerprint
+            validate_months(*self.sample)
         if self.parallelism < 1:
             raise ConfigError(f"parallelism must be >= 1: {self.parallelism}")
 
@@ -177,6 +179,38 @@ def _is_file(path: str) -> bool:
         raise
 
 
+def _resolve(unit: EvaluationUnit, config: RunConfig, cache: dict | None,
+             ) -> tuple[ExtractionRecord | None, str, str | None]:
+    """resolve_output's record and status, and the warning it logs, if any."""
+    adapter = config.adapter
+    name = adapter.output_path(unit.key.document_id, unit.key.page_index)
+    fresh = cache is None or name not in cache
+    if fresh:
+        path = os.path.join(config.output_root, name)
+        records = (read_records(path, adapter, config.labels)
+                   if _is_file(path) else None)
+        if cache is not None:
+            cache[name] = records
+    else:
+        records = cache[name]
+    if records is None:
+        return None, STATUS_MISSING, None
+    record = records.get(unit.label)
+    if record is None:  # a label outside config.labels
+        record = read_records(os.path.join(config.output_root, name),
+                              adapter, [unit.label])[unit.label]
+    if isinstance(record, AdapterError):
+        if isinstance(record, PathTypeError):
+            warning = f"unreadable tool output for {unit.key}/{unit.label}: {record}"
+        else:
+            warning = f"unreadable tool output {path}: {record}" if fresh else None
+        return None, STATUS_ERROR, warning
+    if adapter.scope == "document":
+        record = replace(record, units=restrict_units(
+            record.units, unit.gt_tokens, config.match))
+    return record, STATUS_SCORED, None
+
+
 def resolve_output(
     unit: EvaluationUnit,
     config: RunConfig,
@@ -196,51 +230,31 @@ def resolve_output(
     Document-scope output is restricted to the items this unit's page-level
     ground truth covers.
     """
-    adapter = config.adapter
-    name = adapter.output_path(unit.key.document_id, unit.key.page_index)
-    fresh = cache is None or name not in cache
-    if fresh:
-        path = os.path.join(config.output_root, name)
-        records = (read_records(path, adapter, config.labels)
-                   if _is_file(path) else None)
-        if cache is not None:
-            cache[name] = records
-    else:
-        records = cache[name]
-    if records is None:
-        return None, STATUS_MISSING
-    record = records.get(unit.label)
-    if record is None:  # a label outside config.labels
-        record = read_records(os.path.join(config.output_root, name),
-                              adapter, [unit.label])[unit.label]
-    if isinstance(record, AdapterError):
-        if isinstance(record, PathTypeError):
-            logger.warning("unreadable tool output for %s/%s: %s",
-                           unit.key, unit.label, record)
-        elif fresh:
-            logger.warning("unreadable tool output %s: %s", path, record)
-        return None, STATUS_ERROR
-    if adapter.scope == "document":
-        record = replace(record, units=restrict_units(
-            record.units, unit.gt_tokens, config.match))
-    return record, STATUS_SCORED
+    record, status, warning = _resolve(unit, config, cache)
+    if warning is not None:
+        logger.warning(warning)
+    return record, status
 
 
-def score_unit(unit: EvaluationUnit, config: RunConfig,
-               cache: dict | None = None) -> UnitResult:
-    record, status = resolve_output(unit, config, cache)
+def _scored(unit: EvaluationUnit, record: ExtractionRecord | None, status: str,
+            config: RunConfig) -> UnitResult:
     tokens: tuple[str, ...] = record.tokens if record is not None else ()
     scores = score_document(tokens, unit.gt_tokens, config.match)
     return UnitResult(unit.key, unit.label, status, scores)
 
 
+def score_unit(unit: EvaluationUnit, config: RunConfig,
+               cache: dict | None = None) -> UnitResult:
+    return _scored(unit, *resolve_output(unit, config, cache), config)
+
+
 def _evaluate_pages(pages: list[PagePlan], config: RunConfig,
                     vocabulary: frozenset[str], journalled: Container[UnitKey],
-                    ) -> Iterator[UnitResult | UnitKey]:
-    """Plan and score a run of whole documents: results in unit order, with
-    the key of each journalled unit standing in for it. Every page of the run
-    is planned before its first result; each document's units share a
-    tool-output cache."""
+                    ) -> Iterator[UnitResult | UnitKey | str]:
+    """Plan and score a run of whole documents: results in unit order, the
+    key of a journalled unit standing in for it, a unit's warning just
+    before its result. Every page of the run is planned before its first
+    result; each document's units share a tool-output cache."""
     cache, document = {}, None
     for unit in _plan_pages(pages, config, vocabulary, journalled):
         if type(unit) is tuple:  # a journalled unit's key
@@ -248,44 +262,15 @@ def _evaluate_pages(pages: list[PagePlan], config: RunConfig,
             continue
         if unit.key.document_id != document:
             cache, document = {}, unit.key.document_id
-        yield score_unit(unit, config, cache)
+        record, status, warning = _resolve(unit, config, cache)
+        if warning is not None:
+            yield warning
+        yield _scored(unit, record, status, config)
 
 
-class _HeldRecords(logging.Handler):
-    """Holds the records it is handed, their messages formatted, so they
-    pickle."""
-
-    def __init__(self):
-        super().__init__()
-        self.records: list[logging.LogRecord] = []
-
-    def emit(self, record: logging.LogRecord) -> None:
-        record.msg, record.args, record.exc_info = self.format(record), None, None
-        self.records.append(record)
-
-
-def _evaluate_task(*args) -> tuple[list[UnitResult | UnitKey], list[logging.LogRecord]]:
-    """The task a pool worker runs: _evaluate_pages over one run, and the
-    records docbench logged meanwhile, held rather than emitted, so the
-    parent emits them when it takes the run: in unit order, as one worker
-    would."""
-    package, held = logging.getLogger("docbench"), _HeldRecords()
-    package.addHandler(held)
-    propagate, package.propagate = package.propagate, False
-    try:
-        return list(_evaluate_pages(*args)), held.records
-    finally:
-        package.removeHandler(held)
-        package.propagate = propagate
-
-
-def _taken(task: tuple[list[UnitResult | UnitKey], list[logging.LogRecord]],
-           ) -> list[UnitResult | UnitKey]:
-    """A finished task's results, once its held records are emitted."""
-    results, records = task
-    for record in records:
-        logging.getLogger(record.name).handle(record)
-    return results
+def _evaluate_task(*args) -> list[UnitResult | UnitKey | str]:
+    """The task a pool worker runs: _evaluate_pages over one run."""
+    return list(_evaluate_pages(*args))
 
 
 def worker_count(parallelism: int) -> int:
@@ -361,7 +346,7 @@ def _runs(pages: Iterable[PagePlan]) -> Iterator[list[PagePlan]]:
 
 def _evaluate_documents(pages: Iterable[PagePlan], config: RunConfig,
                         vocabulary: frozenset[str], done: Mapping[UnitKey, UnitResult],
-                        ) -> Iterator[UnitResult | UnitKey]:
+                        ) -> Iterator[UnitResult | UnitKey | str]:
     """_evaluate_pages over the runs of _runs, each taken from pages when it
     is needed. With one worker, or a plan of one run, the parent scores them;
     else each run is a pool task, sent its page plans and journalled unit
@@ -386,11 +371,11 @@ def _evaluate_documents(pages: Iterable[PagePlan], config: RunConfig,
     try:
         for run in runs:
             if len(in_flight) == 2 * workers:
-                yield from _taken(in_flight.popleft().result())
+                yield from in_flight.popleft().result()
             listed = [_journalled_units(key, labels, done) for key, _, labels in run]
             if None not in listed:
                 future = Future()
-                future.set_result((list(chain.from_iterable(listed)), []))
+                future.set_result(list(chain.from_iterable(listed)))
             else:
                 journalled = done.keys() & [(*key, label) for key, _, _ in run
                                             for label in config.labels]
@@ -399,7 +384,7 @@ def _evaluate_documents(pages: Iterable[PagePlan], config: RunConfig,
                                      journalled)
             in_flight.append(future)
         while in_flight:
-            yield from _taken(in_flight.popleft().result())
+            yield from in_flight.popleft().result()
     except BrokenExecutor:  # the pool's BrokenProcessPool
         pool.shutdown(wait=False)
         _pool = None
@@ -437,6 +422,9 @@ def evaluate_run(
                                   index.vocabulary, done)
     try:
         for result in results:
+            if type(result) is str:  # the one log site of every worker count
+                logger.warning(result)
+                continue
             if not isinstance(result, UnitResult):  # a journalled unit's key
                 yield done[result]
                 continue

@@ -129,14 +129,16 @@ def journal_reference(path) -> tuple:
     """A journal read line by line with json.loads: (header, records,
     warnings).
 
-    Blank lines are skipped. The first header counts; a later header with
-    another config raises ValueError, and a repeat of it is one "repeated
-    header" warning. A unit record has doc, page, label, status, p, r, f1,
-    acc, m and n: page, m and n pass int(), the scores float() into [0, 1],
-    doc must be truthy, page >= 0, and doc, label and status hashable. Any
-    other line is one "malformed" warning, and a record whose (doc, page,
-    label) was already read is one "repeated unit" warning. records are
-    (doc, page, label, status, p, r, f1, acc, m, n) tuples in file order.
+    Blank lines are skipped. A header whose tool or config is present but
+    not a string is one "malformed" warning. The first other header counts;
+    a later header with another config raises ValueError, and a repeat of it
+    is one "repeated header" warning. A unit record has doc, page, label,
+    status, p, r, f1, acc, m and n: page, m and n pass int(), the scores
+    float() into [0, 1], doc must be truthy, page >= 0, and doc, label and
+    status strings. Any other line is one "malformed" warning, and a record
+    whose (doc, page, label) was already read is one "repeated unit"
+    warning. records are (doc, page, label, status, p, r, f1, acc, m, n)
+    tuples in file order.
     """
     header = None
     records = {}
@@ -153,7 +155,10 @@ def journal_reference(path) -> tuple:
             warnings["malformed"] += 1
             continue
         if isinstance(payload, dict) and payload.get("kind") == "header":
-            if header is None:
+            if any(name in payload and not isinstance(payload[name], str)
+                   for name in ("tool", "config")):
+                warnings["malformed"] += 1
+            elif header is None:
                 header = payload
             elif payload.get("config") != header.get("config"):
                 raise ValueError("a second header with another config")
@@ -166,7 +171,9 @@ def journal_reference(path) -> tuple:
                       float(payload["r"]), float(payload["f1"]),
                       float(payload["acc"]), int(payload["m"]),
                       int(payload["n"]))
-            hash(record[:4])
+            if not all(isinstance(name, str) for name in
+                       (record[0], record[2], record[3])):
+                raise TypeError("doc, label or status is not a string")
             if not record[0] or record[1] < 0:
                 raise ValueError("empty doc or negative page")
             if not all(0.0 <= score <= 1.0 for score in record[4:8]):

@@ -127,6 +127,18 @@ def test_eval_bad_sample_syntax(golden_dir: Path, tmp_path: Path):
     assert "YYMM" in proc.stderr
 
 
+def test_eval_sample_months_are_ascii(golden_dir: Path, tmp_path: Path):
+    # Tangsa digits (Unicode 14.0) and an Arabic-Indic zero match \d
+    # outside ASCII; neither is a month. The refusal comes before the
+    # journal is opened, so it leaves no header to refuse the corrected run.
+    for sample in ("1401:14\U00016AC1\U00016AC1", "14\u06601:1402"):
+        proc = _run(*_eval_args(golden_dir, "perfect", tmp_path / "j.jsonl"),
+                    "--sample", sample)
+        assert proc.returncode == 2, sample
+        assert "invalid YYMM month" in proc.stderr, sample
+        assert not (tmp_path / "j.jsonl").exists()
+
+
 def test_eval_missing_adapter_config(golden_dir: Path, tmp_path: Path):
     proc = _run("eval",
                 "--gt-root", str(golden_dir / "gt"),
@@ -193,6 +205,41 @@ def test_report_and_chart_skip_scores_outside_the_unit_interval(golden_dir: Path
         for line_no in range(len(lines) - len(edits) + 1, len(lines) + 1):
             assert proc.stderr.count(f"malformed journal line {line_no}\n") == 1
         assert proc.stderr.count("malformed") == len(edits)
+        assert outputs[0] == outputs[1]
+
+
+def test_report_and_chart_skip_names_that_are_not_strings(golden_dir: Path,
+                                                         tmp_path: Path):
+    # A unit line whose label, doc or status is a number or null, and a
+    # header whose tool or config is one, are malformed lines: each is
+    # skipped with a warning and the outputs equal the golden journal's.
+    golden = golden_dir / "expected" / "partial.jsonl"
+    header, *lines = golden.read_text(encoding="utf-8").splitlines()
+    odd_units = [re.sub(f'"{field}":"[^"]*"', f'"{field}":{value}',
+                        lines[0].replace('"page":0', f'"page":{page + 7}'))
+                 for page, (field, value) in enumerate(
+                     [("label", "5"), ("label", "null"), ("status", "5"),
+                      ("doc", "null")])]
+    odd_headers = [json.dumps(dict(json.loads(header), **{name: value}))
+                   for name in ("tool", "config") for value in (5, 7, None)]
+    journal = tmp_path / "names.jsonl"
+    journal.write_text("\n".join(odd_headers + [header] + lines + odd_units)
+                       + "\n", encoding="utf-8")
+    chart = tmp_path / "chart.svg"
+    for args in (["report"], ["report", "--format", "json"],
+                 ["chart", "--metric", "f1", "--out", str(chart)]):
+        outputs = []
+        for path in (golden, journal):
+            proc = _run(*args, "--journal", str(path))
+            assert proc.returncode == 0, proc.stderr
+            assert "Traceback" not in proc.stderr
+            outputs.append(chart.read_bytes() if args[0] == "chart" else proc.stdout)
+        skipped = [*range(1, len(odd_headers) + 1),
+                   *range(len(odd_headers) + len(lines) + 2,
+                          len(odd_headers) + len(lines) + len(odd_units) + 2)]
+        for line_no in skipped:
+            assert proc.stderr.count(f"malformed journal line {line_no}\n") == 1
+        assert proc.stderr.count("malformed") == len(skipped)
         assert outputs[0] == outputs[1]
 
 

@@ -559,8 +559,9 @@ def _line_variants(line: bytes) -> list[bytes]:
                ("r", float("-inf")),
                ("page", "1"), ("page", True), ("page", 1.5), ("page", -1),
                ("page", "x"), ("doc", ""), ("doc", 7), ("doc", None),
-               ("doc", ["x"]), ("label", ["x"]), ("status", {}),
-               ("status", 3), ("label", "title"), ("page", 2)]
+               ("doc", ["x"]), ("doc", 1.5), ("label", ["x"]), ("label", 5),
+               ("label", None), ("label", True), ("status", {}),
+               ("status", 3), ("status", None), ("label", "title"), ("page", 2)]
     variants += [json.dumps(dict(payload, **{field: value})).encode()
                  for field, value in changes]
     # One change from the shape unit_result_to_line writes, so read as
@@ -644,6 +645,14 @@ def test_read_journal_agrees_with_the_reference_reader(golden_dir: Path,
     journals += [header + b"".join(uniform), header + b"".join(uniform[::-1])]
     journals += [header + b"".join(rng.choices(uniform, k=30))
                  for _ in range(20)]
+    # Headers whose tool or config is not a string are malformed lines:
+    # before the header that counts, after it, and in place of it.
+    odd_headers = [json.dumps(dict(json.loads(header), **{name: value}))
+                   .encode() + b"\n" for name in ("tool", "config")
+                   for value in (5, 7, None)]
+    journals += [parts for odd in odd_headers for parts in (
+        odd + header + b"".join(lines), header + odd + b"".join(lines),
+        odd + b"".join(lines))]
     refused = 0
     for data in journals:
         journal.write_bytes(data)
@@ -818,7 +827,8 @@ def _doc_scope_corpus(root: Path, statuses: tuple[str, ...] = (
         "scored", "missing", "scored", "truncated")) -> dict:
     """Two-page documents with document-wide JSON output, one per status: by
     default two whole, one without an output file and one whose JSON is cut
-    short."""
+    short. An "object" document's title path ends at an object, so its
+    title units are error artifacts and its paragraph units are scored."""
     gt_root, out_root = root / "gt", root / "out"
     gt_root.mkdir()
     out_root.mkdir()
@@ -835,7 +845,8 @@ def _doc_scope_corpus(root: Path, statuses: tuple[str, ...] = (
                 "\n".join(lines) + "\n", encoding="utf-8")
             blocks += [" ".join(title), " ".join(words[:6]),
                        " ".join(words[6:11] + ["noise"])]
-        text = json.dumps({"titles": blocks[::3],
+        titles = {"text": blocks[::3]} if status == "object" else blocks[::3]
+        text = json.dumps({"titles": titles,
                            "blocks": [{"text": b} for b in blocks]})
         if status == "truncated":
             text = text[:len(text) // 2]
@@ -924,23 +935,35 @@ def test_each_output_file_is_looked_up_once_per_document(golden_dir: Path,
 @pytest.mark.usefixtures("run_per_document")
 def test_pool_warnings_are_logged_in_unit_order(tmp_path: Path, monkeypatch,
                                                 caplog):
-    # Each worker holds what it would log and the parent logs it when it
-    # takes that run, so the log reads as at one job, whichever run ends
-    # first.
+    # Workers log nothing: each unit's warning comes back just before its
+    # result and evaluate_run logs it, so the log and its place among the
+    # results read as at one job, whichever run ends first.
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    corpus = _doc_scope_corpus(tmp_path, ("truncated", "scored", "truncated",
-                                          "missing"))
-    logged = {}
+    corpus = _doc_scope_corpus(tmp_path, ("truncated", "object", "scored",
+                                          "truncated", "missing"))
+    logged, placed = {}, {}
     for jobs in (1, 2):
         caplog.clear()
         with caplog.at_level(logging.WARNING, logger="docbench.pipeline"):
-            list(evaluate_run(RunConfig(**corpus, parallelism=jobs)))
+            placed[jobs] = [(len(caplog.records), r.key, r.label) for r in
+                            evaluate_run(RunConfig(**corpus, parallelism=jobs))]
         logged[jobs] = [r.getMessage() for r in caplog.records
                         if r.name == "docbench.pipeline"]
-    assert [m.split(":")[0] for m in logged[1]] == [
-        f"unreadable tool output {tmp_path / 'out' / doc}.json"
-        for doc in ("2101.00000", "2101.00002")]
-    assert logged[2] == logged[1]
+    unreadable = [f"unreadable tool output {tmp_path / 'out' / doc}.json: "
+                  for doc in ("2101.00000", "2101.00003")]
+    path_type = ("path 'titles' ends at an object; extend the path to a "
+                 "text field")
+    assert len(logged[1]) == len(caplog.records) == 4
+    assert logged[1][0].startswith(unreadable[0])
+    assert logged[1][1:3] == [
+        f"unreadable tool output for 2101.00001:{page}/title: {path_type}"
+        for page in (0, 1)]
+    assert logged[1][3].startswith(unreadable[1])
+    # Each warning is logged before its unit's result is taken.
+    assert [(count, str(key), label) for count, key, label in placed[1]
+            if label == "title" and key.document_id == "2101.00001"] == [
+        (2, "2101.00001:0", "title"), (3, "2101.00001:1", "title")]
+    assert (logged[2], placed[2]) == (logged[1], placed[1])
 
 
 @pytest.mark.usefixtures("run_per_document")
@@ -1126,22 +1149,33 @@ def test_pool_journal_equals_the_inline_one_in_every_format(tmp_path: Path,
     assert any(r.scores.f1 > 0 for r in results)
 
 
-def test_unreadable_file_is_logged_once(tmp_path: Path, caplog):
+@pytest.mark.usefixtures("run_per_document")
+def test_unreadable_file_is_logged_once(tmp_path: Path, monkeypatch, caplog):
+    # Two documents of three units each, each output cut short: one warning
+    # per file at either job count, whichever process reads it.
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
     labels = {"author": "Shiu", "paragraph": "Intro", "title": "Deep"}
     gt_root = _one_page_corpus(tmp_path, labels)
-    (tmp_path / "2101.00000_0.json").write_text('{"title": "De',
+    (gt_root / "2101.00001_0.txt").write_bytes(
+        (gt_root / "2101.00000_0.txt").read_bytes())
+    for doc in ("2101.00000", "2101.00001"):
+        (tmp_path / f"{doc}_0.json").write_text('{"title": "De',
                                                 encoding="utf-8")
     config = RunConfig(output_root=tmp_path, gt_root=gt_root,
                        adapter=AdapterConfig("js", "json",
                                              {label: label for label in labels}),
                        labels=tuple(labels))
-    journal = tmp_path / "run.jsonl"
-    with caplog.at_level(logging.WARNING, logger="docbench.pipeline"):
-        list(evaluate_run(config, journal_path=journal))
-    [warning] = caplog.records
-    assert "2101.00000_0.json" in warning.getMessage()
-    _, results = read_journal(journal)
-    assert [r.status for r in results] == [STATUS_ERROR] * 3
+    for jobs in (1, 2):
+        journal = tmp_path / f"jobs{jobs}.jsonl"
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="docbench.pipeline"):
+            list(evaluate_run(dataclasses.replace(config, parallelism=jobs),
+                              journal_path=journal))
+        assert [r.getMessage().split(": ")[0] for r in caplog.records] == [
+            f"unreadable tool output {tmp_path / doc}_0.json"
+            for doc in ("2101.00000", "2101.00001")], jobs
+        _, results = read_journal(journal)
+        assert [r.status for r in results] == [STATUS_ERROR] * 6
 
 
 def _one_worker_peaks(tmp_path: Path, sizes: tuple[int, ...], tokens: int):
